@@ -14,6 +14,7 @@
 #include "core/tuner.h"
 #include "hash/hash_family.h"
 #include "obs/trace.h"
+#include "policies/anu_policy.h"
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
 #include "serve/snapshot.h"
@@ -336,14 +337,13 @@ void BM_PowDChoose(benchmark::State& state) {
 }
 BENCHMARK(BM_PowDChoose)->Arg(5)->Arg(64)->Arg(512);
 
-/// n servers, 8n file sets, and a report round whose latency skew flips
+/// n servers, m file sets, and a report round whose latency skew flips
 /// each call so every rebalance finds an overloaded server to shed.
-template <typename Policy, typename Config>
-void bench_zoo_rebalance(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Policy policy{Config{}};
+template <typename Policy>
+void bench_rebalance(benchmark::State& state, Policy& policy,
+                     std::uint32_t n, std::uint32_t m) {
   std::vector<workload::FileSetSpec> sets;
-  for (std::uint32_t i = 0; i < 8 * n; ++i) {
+  for (std::uint32_t i = 0; i < m; ++i) {
     sets.push_back(
         workload::FileSetSpec::make(i, "fs" + std::to_string(i), 1.0));
   }
@@ -352,6 +352,7 @@ void bench_zoo_rebalance(benchmark::State& state) {
   policy.initialize(sets, servers);
   double now = 0.0;
   std::uint64_t round = 0;
+  std::uint64_t moves = 0;
   for (auto _ : state) {
     std::vector<core::ServerReport> reports;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -360,8 +361,18 @@ void bench_zoo_rebalance(benchmark::State& state) {
     }
     now += 120.0;
     ++round;
-    benchmark::DoNotOptimize(policy.rebalance(now, reports));
+    moves += policy.rebalance(now, reports).size();
   }
+  state.counters["moves_per_round"] = benchmark::Counter(
+      static_cast<double>(moves), benchmark::Counter::kAvgIterations);
+}
+
+/// Arg = servers, with 8 file sets each.
+template <typename Policy, typename Config>
+void bench_zoo_rebalance(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Policy policy{Config{}};
+  bench_rebalance(state, policy, n, 8 * n);
 }
 
 void BM_PowDRebalance(benchmark::State& state) {
@@ -374,6 +385,15 @@ void BM_JiqRebalance(benchmark::State& state) {
   bench_zoo_rebalance<policy::JoinIdleQueuePolicy, policy::JiqConfig>(state);
 }
 BENCHMARK(BM_JiqRebalance)->Arg(5)->Arg(64);
+
+/// One ANU rebalance round — retune, then re-derive and diff the whole
+/// owner table — over 64 servers. Arg = file sets (m).
+void BM_AnuRebalance(benchmark::State& state) {
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  bench_rebalance(state, policy, 64,
+                  static_cast<std::uint32_t>(state.range(0)));
+}
+BENCHMARK(BM_AnuRebalance)->Arg(500)->Arg(50'000)->Arg(1'000'000);
 
 // The observability layer's overhead contract (src/obs/trace.h): with
 // no sink installed a trace site is one thread-local load and a null

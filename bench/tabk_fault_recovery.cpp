@@ -9,7 +9,7 @@
 // crash's contribution to mean latency.
 //
 // Recovery re-homing resolves survivors through the batched
-// PlacementMap::locate_many sweep (via AnuPolicy::derive_assignment);
+// PlacementMap::locate_many sweep (via AnuPolicy::rederive);
 // the table is byte-identical to the scalar-era recording, which is
 // itself part of the batch path's equivalence evidence.
 #include <iostream>

@@ -31,7 +31,8 @@
 #                                               # zoo decision paths
 #                                               # (BM_PowDChoose,
 #                                               # BM_PowDRebalance,
-#                                               # BM_JiqRebalance) and merge
+#                                               # BM_JiqRebalance,
+#                                               # BM_AnuRebalance) and merge
 #                                               # them as the `policies` group
 #                                               # into an existing
 #                                               # BENCH_core.json
@@ -209,9 +210,10 @@ fi
 # jq fragment for the policy-zoo group: the pow-d sampling kernel at
 # three cluster sizes, plus a full rebalance round (reports -> EWMA ->
 # shed -> fresh placement draw) for each zoo policy at 5 and 64
-# servers. choose() is the per-placement inner loop, so it carries the
-# latency budget; the rebalance rounds are control-plane work and only
-# need to stay far under the reconfiguration period.
+# servers, and an ANU round (retune + whole-table re-derive and diff) at
+# 500 / 50k / 1M file sets. choose() is the per-placement inner loop, so
+# it carries the latency budget; the rebalance rounds are control-plane
+# work and only need to stay far under the reconfiguration period.
 JQ_POLICIES='
   ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
                                          cpu_ns: .cpu_time,
@@ -230,6 +232,11 @@ JQ_POLICIES='
     jiq_rebalance_ns: {
       "5":  $bench["BM_JiqRebalance/5"].time_ns,
       "64": $bench["BM_JiqRebalance/64"].time_ns
+    },
+    anu_rebalance_ns: {
+      "500":     $bench["BM_AnuRebalance/500"].time_ns,
+      "50000":   $bench["BM_AnuRebalance/50000"].time_ns,
+      "1000000": $bench["BM_AnuRebalance/1000000"].time_ns
     }
   } as $policies |
 '
@@ -244,7 +251,7 @@ if [ "$POLICIES_ONLY" -eq 1 ]; then
   echo "== micro (policy-zoo group): $MICRO (min_time=${MIN_TIME}s)"
   MICRO_JSON="$(mktemp)"
   "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter='BM_PowD|BM_Jiq' \
+    --benchmark_filter='BM_PowD|BM_Jiq|BM_AnuRebalance' \
     >"$MICRO_JSON" 2>/dev/null
   BASE='{"schema":"anufs-bench-v1"}'
   if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi

@@ -2,54 +2,47 @@
 
 namespace anufs::policy {
 
-std::map<FileSetId, ServerId> AnuPolicy::derive_assignment() const {
+std::vector<Move> AnuPolicy::rederive() {
   // Batched re-derivation: one locate_many sweep (SoA probe rounds over
   // the whole working set) replaces chasing each file set's probe chain
-  // to completion. Fingerprints are gathered in file_sets_ order, so the
-  // placement cache sees exactly the lookup sequence the scalar loop
-  // used to issue — hit/miss accounting and post-call cache state are
-  // unchanged.
-  fps_scratch_.resize(file_sets_.size());
-  locate_scratch_.resize(file_sets_.size());
-  for (std::size_t i = 0; i < file_sets_.size(); ++i) {
-    fps_scratch_[i] = file_sets_[i].fingerprint;
-  }
-  system_->locate_many(fps_scratch_, locate_scratch_);
-  std::map<FileSetId, ServerId> next;
-  for (std::size_t i = 0; i < file_sets_.size(); ++i) {
-    next[file_sets_[i].id] = locate_scratch_[i].server;
-  }
-  return next;
+  // to completion. Fingerprints are in id order, so the placement cache
+  // sees exactly the lookup sequence a scalar loop would issue —
+  // hit/miss accounting and post-call cache state are unchanged.
+  system_->locate_many(fingerprints_, located_);
+  return reassign_all([this](std::size_t i) { return located_[i].server; });
 }
 
 void AnuPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   system_ = std::make_unique<core::AnuSystem>(config_, servers_);
-  assignment_ = derive_assignment();
-  commit_assignment();
+  fingerprints_.clear();
+  for (const workload::FileSetSpec& fs : file_sets_) {
+    fingerprints_.push_back(fs.fingerprint);
+  }
+  located_.resize(fingerprints_.size());
+  system_->locate_many(fingerprints_, located_);
+  assign_initial([this](std::size_t i) { return located_[i].server; });
 }
 
 std::vector<Move> AnuPolicy::rebalance(
     sim::SimTime /*now*/, const std::vector<core::ServerReport>& reports) {
   const core::TuneDecision decision = system_->reconfigure(reports);
   if (!decision.acted) return {};
-  return apply_assignment(derive_assignment());
+  return rederive();
 }
 
 std::vector<Move> AnuPolicy::on_server_failed(ServerId id) {
   remove_server_id(id);
   system_->fail_server(id);
-  return apply_assignment(derive_assignment());
+  return rederive();
 }
 
 std::vector<Move> AnuPolicy::on_server_added(ServerId id) {
   add_server_id(id);
   system_->add_server(id);
-  return apply_assignment(derive_assignment());
+  return rederive();
 }
 
 }  // namespace anufs::policy

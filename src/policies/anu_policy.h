@@ -3,8 +3,9 @@
 // stored per file set inside ANU itself — it is re-derived from the hash
 // probe sequence against the current region map, which is the paper's
 // whole point (shared state scales with servers, not file sets). The
-// policy-layer assignment table here exists only so the simulator can
-// diff configurations into Move records.
+// policy layer's dense owner table is a routing answer cache: each
+// re-derivation writes the freshly located owners into it, and the
+// writes that change an owner become the round's Move records.
 #pragma once
 
 #include <memory>
@@ -45,16 +46,14 @@ class AnuPolicy final : public AssignmentPolicyBase {
   }
 
  private:
-  /// Re-derive every file set's owner from the probe sequence, batched
-  /// through AnuSystem::locate_many (one SoA sweep per call).
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// Re-derive every file set's owner from the probe sequence (one
+  /// AnuSystem::locate_many sweep) and write it into the owner table.
+  std::vector<Move> rederive();
 
   core::AnuConfig config_;
   std::unique_ptr<core::AnuSystem> system_;
-  // Reused locate_many staging (fingerprints in, results out), mutable
-  // because derive_assignment() is logically const.
-  mutable std::vector<std::uint64_t> fps_scratch_;
-  mutable std::vector<core::LocateResult> locate_scratch_;
+  std::vector<std::uint64_t> fingerprints_;  // index == FileSetId.value
+  std::vector<core::LocateResult> located_;  // locate_many output
 };
 
 }  // namespace anufs::policy

@@ -50,42 +50,34 @@ ServerId ConsistentHashPolicy::ring_owner(std::uint64_t fingerprint) const {
   return it == ring_.end() ? ring_.begin()->second : it->second;
 }
 
-std::map<FileSetId, ServerId> ConsistentHashPolicy::derive_assignment()
-    const {
-  std::map<FileSetId, ServerId> next;
-  for (const workload::FileSetSpec& fs : file_sets_) {
-    next[fs.id] = ring_owner(fs.fingerprint);
-  }
-  return next;
+ServerId ConsistentHashPolicy::derived_owner(std::size_t i) const {
+  return ring_owner(file_sets_[i].fingerprint);
 }
 
 void ConsistentHashPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   ring_.clear();
   for (const ServerId id : servers_) {
     ANUFS_EXPECTS(capacities_.contains(id));
     add_points(id);
   }
-  assignment_ = derive_assignment();
-  commit_assignment();
+  assign_initial([this](std::size_t i) { return derived_owner(i); });
 }
 
 std::vector<Move> ConsistentHashPolicy::on_server_failed(ServerId id) {
   remove_server_id(id);
   remove_points(id);
   ANUFS_EXPECTS(!ring_.empty());
-  return apply_assignment(derive_assignment());
+  return reassign_all([this](std::size_t i) { return derived_owner(i); });
 }
 
 std::vector<Move> ConsistentHashPolicy::on_server_added(ServerId id) {
   ANUFS_EXPECTS(capacities_.contains(id));
   add_server_id(id);
   add_points(id);
-  return apply_assignment(derive_assignment());
+  return reassign_all([this](std::size_t i) { return derived_owner(i); });
 }
 
 }  // namespace anufs::policy

@@ -57,7 +57,8 @@ class ConsistentHashPolicy final : public AssignmentPolicyBase {
   [[nodiscard]] std::uint32_t vnode_count(ServerId id) const;
   void add_points(ServerId id);
   void remove_points(ServerId id);
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// Ring owner of the file set with index `i`.
+  [[nodiscard]] ServerId derived_owner(std::size_t i) const;
 
   std::map<ServerId, double> capacities_;
   ConsistentHashConfig config_;

@@ -4,21 +4,6 @@
 
 namespace anufs::policy {
 
-namespace {
-
-double round_average(const std::vector<core::ServerReport>& reports) {
-  double weighted = 0.0;
-  double total = 0.0;
-  for (const core::ServerReport& r : reports) {
-    if (r.requests == 0) continue;
-    weighted += r.mean_latency * static_cast<double>(r.requests);
-    total += static_cast<double>(r.requests);
-  }
-  return total > 0.0 ? weighted / total : 0.0;
-}
-
-}  // namespace
-
 JoinIdleQueuePolicy::JoinIdleQueuePolicy(JiqConfig config) : config_(config) {
   ANUFS_EXPECTS(config_.d >= 1);
   ANUFS_EXPECTS(config_.idle_factor > 0.0 && config_.idle_factor < 1.0);
@@ -55,22 +40,19 @@ void JoinIdleQueuePolicy::drop_idle(ServerId id) {
 void JoinIdleQueuePolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   table_.reset(servers_);
   // Before any request every server is trivially idle: the first n
   // placements deal one set to each server, then pow-d takes over.
   idle_ = servers_;
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "jiq", draws_++);
-  std::map<FileSetId, ServerId> next;
-  for (const workload::FileSetSpec& fs : file_sets_) {
-    const ServerId to = take_target(rng);
-    next[fs.id] = to;
-    table_.credit(to, +1);
-  }
-  assignment_ = std::move(next);
-  commit_assignment();
+  assign_initial([&](std::size_t) { return place(rng); });
+}
+
+ServerId JoinIdleQueuePolicy::place(sim::Xoshiro256& rng) {
+  const ServerId to = take_target(rng);
+  table_.credit(to, +1);
+  return to;
 }
 
 std::vector<Move> JoinIdleQueuePolicy::rebalance(
@@ -91,35 +73,11 @@ std::vector<Move> JoinIdleQueuePolicy::rebalance(
   std::sort(idle_.begin(), idle_.end());
   if (average <= 0.0) return {};  // idle round: nobody is overloaded
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "jiq", draws_++);
-  std::map<FileSetId, ServerId> next = assignment_;
-  bool changed = false;
-  for (const core::ServerReport& r : reports) {
-    if (r.requests == 0 || !table_.contains(r.id)) continue;
-    if (r.mean_latency <= config_.overload_factor * average) continue;
-    const std::uint32_t count = table_.sets_of(r.id);
-    if (count == 0) continue;
-    const auto shed = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(static_cast<double>(count) *
-                                      config_.shed_fraction));
-    const std::uint32_t stride = (count + shed - 1) / shed;
-    std::uint32_t seen = 0;
-    std::uint32_t moved = 0;
-    for (const auto& [fs, owner] : assignment_) {
-      if (owner != r.id) continue;
-      const bool selected = seen % stride == 0 && moved < shed;
-      ++seen;
-      if (!selected) continue;
-      ++moved;
-      const ServerId to = take_target(rng);
-      if (to == r.id) continue;
-      next[fs] = to;
-      table_.credit(r.id, -1);
-      table_.credit(to, +1);
-      changed = true;
-    }
-  }
-  if (!changed) return {};
-  return apply_assignment(next);
+  const std::vector<ServerId> next = shed_overloaded(
+      reports, average, config_.overload_factor, config_.shed_fraction,
+      owners(), table_, [&] { return take_target(rng); });
+  if (next.empty()) return {};
+  return adopt(next);
 }
 
 std::vector<Move> JoinIdleQueuePolicy::on_server_failed(ServerId id) {
@@ -128,16 +86,7 @@ std::vector<Move> JoinIdleQueuePolicy::on_server_failed(ServerId id) {
   table_.remove(id);
   drop_idle(id);
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "jiq", draws_++);
-  std::vector<Move> moves;
-  for (auto& [fs, owner] : assignment_) {
-    if (owner != id) continue;
-    const ServerId to = take_target(rng);
-    table_.credit(to, +1);
-    moves.push_back(Move{fs, id, to});
-    owner = to;
-  }
-  commit_assignment();
-  return moves;
+  return rehome(id, [&] { return place(rng); });
 }
 
 std::vector<Move> JoinIdleQueuePolicy::on_server_added(ServerId id) {

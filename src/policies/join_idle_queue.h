@@ -67,6 +67,8 @@ class JoinIdleQueuePolicy final : public AssignmentPolicyBase {
  private:
   /// One placement decision: best announced-idle server, else pow-d.
   [[nodiscard]] ServerId take_target(sim::Xoshiro256& rng);
+  /// take_target(), credited to the winner.
+  [[nodiscard]] ServerId place(sim::Xoshiro256& rng);
   void drop_idle(ServerId id);
 
   JiqConfig config_;

@@ -6,53 +6,33 @@
 
 namespace anufs::policy {
 
-std::vector<Move> AssignmentPolicyBase::apply_assignment(
-    const std::map<FileSetId, ServerId>& next) {
-  ANUFS_EXPECTS(next.size() == assignment_.size() || assignment_.empty());
-  std::vector<Move> moves;
-  const bool initial = assignment_.empty();
-  auto prev = assignment_.cbegin();
-  for (const auto& [fs, to] : next) {
-    if (initial) continue;  // initial assignment: no move
-    // Lockstep walk over two same-size ordered maps: any key mismatch
-    // means `next` changed the file-set population, which would leave a
-    // kInvalidServer hole in the routing table that only aborts much
-    // later, at request time, far from the bug. Catch it here instead
-    // (size equality alone cannot — a dropped+added id pair preserves
-    // the size while breaking the key set).
-    ANUFS_EXPECTS(prev->first == fs &&
-                  "apply_assignment must preserve the file-set key set");
-    if (prev->second != to) moves.push_back(Move{fs, prev->second, to});
-    ++prev;
+void AssignmentPolicyBase::begin_initialize(
+    const std::vector<workload::FileSetSpec>& file_sets,
+    const std::vector<ServerId>& servers) {
+  ANUFS_EXPECTS(!servers.empty());
+  for (std::size_t i = 0; i < file_sets.size(); ++i) {
+    // Dense ids are what make the owner table hole-free: every FileSetId
+    // a request can carry indexes a slot assign_initial() fills.
+    ANUFS_EXPECTS(file_sets[i].id.value == i);
   }
-  assignment_ = next;
-  commit_assignment();
+  file_sets_ = file_sets;
+  servers_ = servers;
+  std::sort(servers_.begin(), servers_.end());
+}
+
+void AssignmentPolicyBase::reassign(FileSetId fs, ServerId to,
+                                    std::vector<Move>& moves) {
+  ANUFS_EXPECTS(fs.value < owners_.size());
+  ANUFS_ENSURES(to != kInvalidServer);
+  ServerId& slot = owners_[fs.value];
+  if (slot == to) return;
+  moves.push_back(Move{fs, slot, to});
+  slot = to;
+}
+
+void AssignmentPolicyBase::trace_commit(std::size_t moved) const {
   ANUFS_TRACE(obs::Category::kMove, "assignment_commit",
-              {"file_sets", next.size()}, {"moved", moves.size()});
-  return moves;
-}
-
-void AssignmentPolicyBase::commit_assignment() {
-  std::uint32_t max_id = 0;
-  for (const auto& [fs, owner] : assignment_) {
-    max_id = std::max(max_id, fs.value);
-  }
-  const std::size_t size = assignment_.empty() ? 0 : std::size_t{max_id} + 1;
-  owner_table_.assign(size, kInvalidServer);
-  for (const auto& [fs, owner] : assignment_) {
-    // A policy must never PUBLISH an unassigned file set: routing
-    // answers from this table, and a hole here becomes an owner() abort
-    // at some later request with no hint of which mutation caused it.
-    // Re-homing therefore happens in place, before the commit (see
-    // simple_random.cpp's on_server_failed for the pattern).
-    ANUFS_ENSURES(owner != kInvalidServer);
-    owner_table_[fs.value] = owner;
-  }
-}
-
-void AssignmentPolicyBase::set_servers(std::vector<ServerId> servers) {
-  std::sort(servers.begin(), servers.end());
-  servers_ = std::move(servers);
+              {"file_sets", owners_.size()}, {"moved", moved});
 }
 
 void AssignmentPolicyBase::add_server_id(ServerId id) {

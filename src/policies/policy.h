@@ -5,7 +5,6 @@
 //   simple randomization | round-robin | dynamic prescient | ANU
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,21 +57,21 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::vector<ServerId> servers() const = 0;
 };
 
-/// Shared bookkeeping: the fs -> server table plus diff-based move
-/// extraction. Concrete policies fill `assignment_` and publish it with
-/// commit_assignment() (apply_assignment commits automatically).
+/// Shared bookkeeping: ONE dense fs -> server table indexed by
+/// FileSetId.value, which is both what routing reads and what moves are
+/// recorded against. begin_initialize() requires a dense population
+/// (file_sets[i].id.value == i, as every workload source guarantees), so
+/// the table can never have a hole. After assign_initial(), every write
+/// goes through reassign(), which appends a Move exactly when the owner
+/// changes; policies write in ascending id order, so a call's moves are
+/// the before/after owner diff in id order.
 class AssignmentPolicyBase : public PlacementPolicy {
  public:
   [[nodiscard]] ANUFS_HOT ServerId owner(FileSetId fs) const final {
-    // The request hot path: a dense table indexed by FileSetId (ids are
-    // dense by construction, see workload::Workload), O(1) with one
-    // cache line touched — the ordered map stays the mutation-time
-    // source of truth for diffing.
+    // The request hot path: O(1) with one cache line touched.
     const auto idx = static_cast<std::size_t>(fs.value);
-    ANUFS_EXPECTS(idx < owner_table_.size());
-    const ServerId id = owner_table_[idx];
-    ANUFS_EXPECTS(id != kInvalidServer);
-    return id;
+    ANUFS_EXPECTS(idx < owners_.size());
+    return owners_[idx];
   }
 
   [[nodiscard]] std::vector<ServerId> servers() const final {
@@ -80,27 +79,75 @@ class AssignmentPolicyBase : public PlacementPolicy {
   }
 
  protected:
-  /// Replace the assignment with `next`, returning the induced moves.
-  /// Commits (rebuilds the dense routing table) before returning.
-  std::vector<Move> apply_assignment(
-      const std::map<FileSetId, ServerId>& next);
+  /// Common initialize() prologue: adopt the (dense) file-set population
+  /// and the initial server list.
+  void begin_initialize(const std::vector<workload::FileSetSpec>& file_sets,
+                        const std::vector<ServerId>& servers);
 
-  /// Publish `assignment_` to the dense routing table. Must be called
-  /// after every direct write to `assignment_` (initialize() bodies and
-  /// in-place reassignment loops) — owner() answers from the table, so
-  /// an uncommitted write is invisible to routing.
-  void commit_assignment();
+  /// Install the initial assignment (no moves): `owner_of(i)` is called
+  /// once per file set, in id order.
+  template <typename OwnerOf>
+  void assign_initial(OwnerOf&& owner_of) {
+    owners_.clear();
+    owners_.reserve(file_sets_.size());
+    for (std::size_t i = 0; i < file_sets_.size(); ++i) {
+      const ServerId to = owner_of(i);
+      ANUFS_ENSURES(to != kInvalidServer);
+      owners_.push_back(to);
+    }
+  }
 
-  void set_servers(std::vector<ServerId> servers);
+  /// The single post-initialize write path: give `fs` to `to`, recording
+  /// a Move in `moves` when the owner changes. A policy must never
+  /// publish an unassigned file set — routing answers from this table —
+  /// so `to` must be a real server.
+  void reassign(FileSetId fs, ServerId to, std::vector<Move>& moves);
+
+  /// Adopt a whole re-derived assignment: reassign every file set to
+  /// `owner_of(i)` in id order and trace the commit.
+  template <typename OwnerOf>
+  std::vector<Move> reassign_all(OwnerOf&& owner_of) {
+    std::vector<Move> moves;
+    for (std::size_t i = 0; i < owners_.size(); ++i) {
+      reassign(FileSetId{static_cast<std::uint32_t>(i)}, owner_of(i), moves);
+    }
+    trace_commit(moves.size());
+    return moves;
+  }
+
+  /// reassign_all() from a computed table (`next[i]` owns file set i).
+  std::vector<Move> adopt(const std::vector<ServerId>& next) {
+    ANUFS_EXPECTS(next.size() == owners_.size());
+    return reassign_all([&](std::size_t i) { return next[i]; });
+  }
+
+  /// Exact re-homing: give each of `victim`'s file sets, in id order, to
+  /// `pick()`; nothing else moves.
+  template <typename Pick>
+  std::vector<Move> rehome(ServerId victim, Pick&& pick) {
+    std::vector<Move> moves;
+    for (std::size_t i = 0; i < owners_.size(); ++i) {
+      if (owners_[i] != victim) continue;
+      reassign(FileSetId{static_cast<std::uint32_t>(i)}, pick(), moves);
+    }
+    return moves;
+  }
+
+  /// The current assignment, index == FileSetId.value.
+  [[nodiscard]] const std::vector<ServerId>& owners() const noexcept {
+    return owners_;
+  }
+
   void add_server_id(ServerId id);
   void remove_server_id(ServerId id);
 
-  std::map<FileSetId, ServerId> assignment_;
   std::vector<ServerId> servers_;  // sorted
   std::vector<workload::FileSetSpec> file_sets_;
 
  private:
-  std::vector<ServerId> owner_table_;  // index == FileSetId.value
+  void trace_commit(std::size_t moved) const;
+
+  std::vector<ServerId> owners_;  // index == FileSetId.value
 };
 
 }  // namespace anufs::policy

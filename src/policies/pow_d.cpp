@@ -15,8 +15,8 @@ constexpr double kUnknownLatency = -1.0;
 /// yields a positive, count-sensitive score.
 constexpr double kLatencyFloor = 1e-6;
 
-/// Request-weighted mean latency of one report round; 0 when no server
-/// completed anything (an idle interval carries no signal).
+}  // namespace
+
 double round_average(const std::vector<core::ServerReport>& reports) {
   double weighted = 0.0;
   double total = 0.0;
@@ -27,8 +27,6 @@ double round_average(const std::vector<core::ServerReport>& reports) {
   }
   return total > 0.0 ? weighted / total : 0.0;
 }
-
-}  // namespace
 
 // ---- DChoiceTable ---------------------------------------------------------
 
@@ -145,21 +143,18 @@ PowerOfDChoicesPolicy::PowerOfDChoicesPolicy(PowDConfig config)
 void PowerOfDChoicesPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   table_.reset(servers_);
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "pow-d", draws_++);
-  std::map<FileSetId, ServerId> next;
-  for (const workload::FileSetSpec& fs : file_sets_) {
-    // No latency reports exist yet, so scores reduce to set counts and
-    // the initial spread is a balanced d-choice allocation.
-    const ServerId to = table_.choose(rng, config_.d);
-    next[fs.id] = to;
-    table_.credit(to, +1);
-  }
-  assignment_ = std::move(next);
-  commit_assignment();
+  // No latency reports exist yet, so scores reduce to set counts and the
+  // initial spread is a balanced d-choice allocation.
+  assign_initial([&](std::size_t) { return place(rng); });
+}
+
+ServerId PowerOfDChoicesPolicy::place(sim::Xoshiro256& rng) {
+  const ServerId to = table_.choose(rng, config_.d);
+  table_.credit(to, +1);
+  return to;
 }
 
 std::vector<Move> PowerOfDChoicesPolicy::rebalance(
@@ -168,38 +163,11 @@ std::vector<Move> PowerOfDChoicesPolicy::rebalance(
   const double average = round_average(reports);
   if (average <= 0.0) return {};  // idle round: nothing to react to
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "pow-d", draws_++);
-  std::map<FileSetId, ServerId> next = assignment_;
-  bool changed = false;
-  for (const core::ServerReport& r : reports) {
-    if (r.requests == 0 || !table_.contains(r.id)) continue;
-    if (r.mean_latency <= config_.overload_factor * average) continue;
-    const std::uint32_t count = table_.sets_of(r.id);
-    if (count == 0) continue;
-    const auto shed = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(static_cast<double>(count) *
-                                      config_.shed_fraction));
-    // Every ceil(count/shed)-th of the hot server's sets (in file-set
-    // order) gets a fresh d-choice decision; the stride keeps the
-    // selection deterministic and spread across the id range.
-    const std::uint32_t stride = (count + shed - 1) / shed;
-    std::uint32_t seen = 0;
-    std::uint32_t moved = 0;
-    for (const auto& [fs, owner] : assignment_) {
-      if (owner != r.id) continue;
-      const bool selected = seen % stride == 0 && moved < shed;
-      ++seen;
-      if (!selected) continue;
-      ++moved;
-      const ServerId to = table_.choose(rng, config_.d);
-      if (to == r.id) continue;  // the sample kept it home
-      next[fs] = to;
-      table_.credit(r.id, -1);
-      table_.credit(to, +1);
-      changed = true;
-    }
-  }
-  if (!changed) return {};
-  return apply_assignment(next);
+  const std::vector<ServerId> next = shed_overloaded(
+      reports, average, config_.overload_factor, config_.shed_fraction,
+      owners(), table_, [&] { return table_.choose(rng, config_.d); });
+  if (next.empty()) return {};
+  return adopt(next);
 }
 
 std::vector<Move> PowerOfDChoicesPolicy::on_server_failed(ServerId id) {
@@ -209,16 +177,7 @@ std::vector<Move> PowerOfDChoicesPolicy::on_server_failed(ServerId id) {
   // Exactly the victim's sets re-home, each by a fresh d-choice over
   // the survivors; survivors keep their sets.
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "pow-d", draws_++);
-  std::vector<Move> moves;
-  for (auto& [fs, owner] : assignment_) {
-    if (owner != id) continue;
-    const ServerId to = table_.choose(rng, config_.d);
-    table_.credit(to, +1);
-    moves.push_back(Move{fs, id, to});
-    owner = to;
-  }
-  commit_assignment();
-  return moves;
+  return rehome(id, [&] { return place(rng); });
 }
 
 std::vector<Move> PowerOfDChoicesPolicy::on_server_added(ServerId id) {

@@ -26,10 +26,11 @@
 //
 // Determinism (lint rule D1): every random draw comes from a
 // sim::make_stream substream keyed by a per-entry-point counter, and
-// all iteration is over sorted flat vectors or std::map — replays are
+// all iteration is over sorted or id-indexed flat vectors — replays are
 // bit-identical for a given seed, across --jobs counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "policies/policy.h"
@@ -90,6 +91,55 @@ class DChoiceTable {
   mutable std::vector<std::uint32_t> scratch_;
 };
 
+/// Request-weighted mean latency of one report round; 0 when no server
+/// completed anything (an idle interval carries no signal).
+[[nodiscard]] double round_average(
+    const std::vector<core::ServerReport>& reports);
+
+/// The overload-shedding round pow-d and JIQ share. Every reporting
+/// server whose latency exceeds overload_factor x `average` re-decides
+/// max(1, shed_fraction x its set count) of its sets through `pick()` —
+/// every ceil(count/shed)-th of them in id order, which keeps the
+/// selection deterministic and spread across the id range. A pick that
+/// leaves home is credited in `table`. `owners` (the pre-round
+/// assignment) is only read; decisions land in the returned table,
+/// which is empty when nothing changed.
+template <typename Pick>
+[[nodiscard]] std::vector<ServerId> shed_overloaded(
+    const std::vector<core::ServerReport>& reports, double average,
+    double overload_factor, double shed_fraction,
+    const std::vector<ServerId>& owners, DChoiceTable& table, Pick&& pick) {
+  std::vector<ServerId> next = owners;
+  bool changed = false;
+  for (const core::ServerReport& r : reports) {
+    if (r.requests == 0 || !table.contains(r.id)) continue;
+    if (r.mean_latency <= overload_factor * average) continue;
+    const std::uint32_t count = table.sets_of(r.id);
+    if (count == 0) continue;
+    const auto shed = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(static_cast<double>(count) *
+                                      shed_fraction));
+    const std::uint32_t stride = (count + shed - 1) / shed;
+    std::uint32_t seen = 0;
+    std::uint32_t moved = 0;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      if (owners[i] != r.id) continue;
+      const bool selected = seen % stride == 0 && moved < shed;
+      ++seen;
+      if (!selected) continue;
+      ++moved;
+      const ServerId to = pick();
+      if (to == r.id) continue;  // the decision kept it home
+      next[i] = to;
+      table.credit(r.id, -1);
+      table.credit(to, +1);
+      changed = true;
+    }
+  }
+  if (!changed) next.clear();
+  return next;
+}
+
 struct PowDConfig {
   /// Choices per decision. 1 degenerates to simple randomization; the
   /// literature's sweet spot is 2. Values above the alive-server count
@@ -124,6 +174,9 @@ class PowerOfDChoicesPolicy final : public AssignmentPolicyBase {
   [[nodiscard]] const DChoiceTable& table() const noexcept { return table_; }
 
  private:
+  /// One placement decision: a d-choice draw, credited to the winner.
+  [[nodiscard]] ServerId place(sim::Xoshiro256& rng);
+
   PowDConfig config_;
   DChoiceTable table_;
   std::uint64_t draws_ = 0;  // substream counter: one per entry point

@@ -7,6 +7,9 @@ namespace anufs::policy {
 
 namespace {
 
+/// "No file set chosen" sentinel for the local search.
+constexpr std::size_t kNone = ~std::size_t{0};
+
 /// Estimated mean latency of one server from its aggregate window
 /// knowledge: mean service time inflated by an M/M/1-style queueing
 /// factor, clamped near saturation so an overloaded server is simply
@@ -82,24 +85,43 @@ double PrescientPolicy::server_score(double demand, double count,
   return estimate_latency(demand, count, seconds, speed) + penalty;
 }
 
-double PrescientPolicy::objective(
-    const std::map<FileSetId, ServerId>& assignment, const WindowLoad& load,
-    double norm_cap) const {
-  std::map<ServerId, std::pair<double, double>> per;  // demand, count
+PrescientPolicy::ServerLoads PrescientPolicy::per_server(
+    const std::vector<ServerId>& assignment, const WindowLoad& load) const {
+  ServerLoads per;
   for (const ServerId id : servers_) per[id] = {0.0, 0.0};
-  for (const auto& [fs, owner] : assignment) {
-    per[owner].first += load.demand[fs.value];
-    per[owner].second += load.count[fs.value];
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    per[assignment[i]].first += load.demand[i];
+    per[assignment[i]].second += load.count[i];
   }
+  return per;
+}
+
+ServerId PrescientPolicy::least_loaded(const std::map<ServerId, double>& acc,
+                                       double demand) const {
+  ServerId best = servers_.front();
+  double best_norm = std::numeric_limits<double>::infinity();
+  for (const ServerId id : servers_) {
+    const double norm = (acc.at(id) + demand) / speed_of(id);
+    if (norm < best_norm) {
+      best_norm = norm;
+      best = id;
+    }
+  }
+  return best;
+}
+
+double PrescientPolicy::objective(
+    const std::vector<ServerId>& assignment, const WindowLoad& load,
+    double norm_cap) const {
   double worst = 0.0;
-  for (const auto& [id, dc] : per) {
+  for (const auto& [id, dc] : per_server(assignment, load)) {
     worst = std::max(worst, server_score(dc.first, dc.second, load.seconds,
                                          speed_of(id), norm_cap));
   }
   return worst;
 }
 
-std::map<FileSetId, ServerId> PrescientPolicy::pack_lpt(
+std::vector<ServerId> PrescientPolicy::pack_lpt(
     const WindowLoad& load) const {
   std::vector<std::size_t> order(load.demand.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -113,33 +135,20 @@ std::map<FileSetId, ServerId> PrescientPolicy::pack_lpt(
   std::map<ServerId, double> acc;
   for (const ServerId id : servers_) acc[id] = 0.0;
 
-  std::map<FileSetId, ServerId> next;
+  std::vector<ServerId> next(order.size(), kInvalidServer);
   for (const std::size_t i : order) {
-    ServerId best = servers_.front();
-    double best_norm = std::numeric_limits<double>::infinity();
-    for (const ServerId id : servers_) {
-      const double norm = (acc[id] + load.demand[i]) / speed_of(id);
-      if (norm < best_norm) {
-        best_norm = norm;
-        best = id;
-      }
-    }
-    next[FileSetId{static_cast<std::uint32_t>(i)}] = best;
+    const ServerId best = least_loaded(acc, load.demand[i]);
+    next[i] = best;
     acc[best] += load.demand[i];
   }
   return next;
 }
 
-std::map<FileSetId, ServerId> PrescientPolicy::search_pass(
-    std::map<FileSetId, ServerId> assignment, const WindowLoad& load,
+std::vector<ServerId> PrescientPolicy::search_pass(
+    std::vector<ServerId> assignment, const WindowLoad& load,
     double norm_cap) const {
   // Per-server aggregates and scores, maintained incrementally.
-  std::map<ServerId, std::pair<double, double>> per;
-  for (const ServerId id : servers_) per[id] = {0.0, 0.0};
-  for (const auto& [fs, owner] : assignment) {
-    per[owner].first += load.demand[fs.value];
-    per[owner].second += load.count[fs.value];
-  }
+  ServerLoads per = per_server(assignment, load);
   const auto est = [&](ServerId id) {
     const auto& dc = per.at(id);
     return server_score(dc.first, dc.second, load.seconds, speed_of(id),
@@ -167,12 +176,12 @@ std::map<FileSetId, ServerId> PrescientPolicy::search_pass(
 
     // Best single-set move off the bottleneck.
     double best_obj = current;
-    FileSetId best_fs = kInvalidFileSet;
+    std::size_t best_fs = kNone;
     ServerId best_to = kInvalidServer;
-    for (const auto& [fs, owner] : assignment) {
-      if (owner != hot || load.count[fs.value] == 0.0) continue;
-      const double d = load.demand[fs.value];
-      const double c = load.count[fs.value];
+    for (std::size_t fs = 0; fs < assignment.size(); ++fs) {
+      if (assignment[fs] != hot || load.count[fs] == 0.0) continue;
+      const double d = load.demand[fs];
+      const double c = load.count[fs];
       per[hot].first -= d;
       per[hot].second -= c;
       for (const ServerId to : servers_) {
@@ -191,28 +200,29 @@ std::map<FileSetId, ServerId> PrescientPolicy::search_pass(
       per[hot].first += d;
       per[hot].second += c;
     }
-    if (best_fs != kInvalidFileSet) {
-      per[hot].first -= load.demand[best_fs.value];
-      per[hot].second -= load.count[best_fs.value];
-      per[best_to].first += load.demand[best_fs.value];
-      per[best_to].second += load.count[best_fs.value];
+    if (best_fs != kNone) {
+      per[hot].first -= load.demand[best_fs];
+      per[hot].second -= load.count[best_fs];
+      per[best_to].first += load.demand[best_fs];
+      per[best_to].second += load.count[best_fs];
       assignment[best_fs] = best_to;
       continue;
     }
 
     // Pairwise swaps between the bottleneck and any other server.
     double best_swap_obj = current;
-    FileSetId swap_a = kInvalidFileSet;
-    FileSetId swap_b = kInvalidFileSet;
-    for (const auto& [fa, oa] : assignment) {
-      if (oa != hot) continue;
-      const double da = load.demand[fa.value];
-      const double ca = load.count[fa.value];
+    std::size_t swap_a = kNone;
+    std::size_t swap_b = kNone;
+    for (std::size_t fa = 0; fa < assignment.size(); ++fa) {
+      if (assignment[fa] != hot) continue;
+      const double da = load.demand[fa];
+      const double ca = load.count[fa];
       if (ca == 0.0) continue;
-      for (const auto& [fb, ob] : assignment) {
+      for (std::size_t fb = 0; fb < assignment.size(); ++fb) {
+        const ServerId ob = assignment[fb];
         if (ob == hot) continue;
-        const double db = load.demand[fb.value];
-        const double cb = load.count[fb.value];
+        const double db = load.demand[fb];
+        const double cb = load.count[fb];
         per[hot].first += db - da;
         per[hot].second += cb - ca;
         per[ob].first += da - db;
@@ -229,20 +239,20 @@ std::map<FileSetId, ServerId> PrescientPolicy::search_pass(
         }
       }
     }
-    if (swap_a == kInvalidFileSet) break;  // local optimum
-    const ServerId other = assignment.at(swap_b);
-    per[hot].first += load.demand[swap_b.value] - load.demand[swap_a.value];
-    per[hot].second += load.count[swap_b.value] - load.count[swap_a.value];
-    per[other].first += load.demand[swap_a.value] - load.demand[swap_b.value];
-    per[other].second += load.count[swap_a.value] - load.count[swap_b.value];
+    if (swap_a == kNone) break;  // local optimum
+    const ServerId other = assignment[swap_b];
+    per[hot].first += load.demand[swap_b] - load.demand[swap_a];
+    per[hot].second += load.count[swap_b] - load.count[swap_a];
+    per[other].first += load.demand[swap_a] - load.demand[swap_b];
+    per[other].second += load.count[swap_a] - load.count[swap_b];
     assignment[swap_a] = other;
     assignment[swap_b] = hot;
   }
   return assignment;
 }
 
-std::map<FileSetId, ServerId> PrescientPolicy::refine(
-    std::map<FileSetId, ServerId> assignment, const WindowLoad& load) const {
+std::vector<ServerId> PrescientPolicy::refine(
+    std::vector<ServerId> assignment, const WindowLoad& load) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Pass 1: minimize load skew.
   assignment = search_pass(std::move(assignment), load, kInf);
@@ -256,16 +266,15 @@ std::map<FileSetId, ServerId> PrescientPolicy::refine(
 void PrescientPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
+  ANUFS_EXPECTS(file_sets_.size() == set_times_.size());
   // "Having perfect knowledge, the prescient algorithm begins in a
   // load-balanced state at time 0": pack for the opening window.
   const WindowLoad load = config_.mode == PrescientConfig::Mode::kStationary
                               ? total_load()
                               : window_load(0.0, config_.period);
-  assignment_ = refine(pack_lpt(load), load);
-  commit_assignment();
+  const std::vector<ServerId> packed = refine(pack_lpt(load), load);
+  assign_initial([&](std::size_t i) { return packed[i]; });
 }
 
 std::vector<Move> PrescientPolicy::rebalance(
@@ -280,17 +289,17 @@ std::vector<Move> PrescientPolicy::rebalance(
   // are expensive: 5-10 s of per-set unavailability). Lexicographic
   // comparison matches the packer: load skew first, then latency.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double cur_norm = objective(assignment_, load, kInf);
-  std::map<FileSetId, ServerId> candidate = refine(assignment_, load);
+  const double cur_norm = objective(owners(), load, kInf);
+  const std::vector<ServerId> candidate = refine(owners(), load);
   const double cand_norm = objective(candidate, load, kInf);
   const double cap = std::max(cur_norm, cand_norm) * config_.load_slack;
   const bool better_load = cand_norm < cur_norm * config_.improvement_factor;
   const bool better_latency =
       cand_norm <= cur_norm &&
       objective(candidate, load, cap) <
-          objective(assignment_, load, cap) * config_.improvement_factor;
+          objective(owners(), load, cap) * config_.improvement_factor;
   if (!better_load && !better_latency) return {};
-  return apply_assignment(std::move(candidate));
+  return adopt(candidate);
 }
 
 std::vector<Move> PrescientPolicy::on_server_failed(ServerId id) {
@@ -299,39 +308,33 @@ std::vector<Move> PrescientPolicy::on_server_failed(ServerId id) {
   const WindowLoad load = total_load();
   // Re-home the victim's sets greedily by normalized load, then refine
   // globally against the latency objective.
-  std::map<FileSetId, ServerId> next = assignment_;
+  std::vector<ServerId> next = owners();
   std::map<ServerId, double> acc;
   for (const ServerId s : servers_) acc[s] = 0.0;
-  for (const auto& [fs, owner] : next) {
-    if (owner != id) acc[owner] += load.demand[fs.value];
+  for (std::size_t fs = 0; fs < next.size(); ++fs) {
+    if (next[fs] != id) acc[next[fs]] += load.demand[fs];
   }
-  for (auto& [fs, owner] : next) {
-    if (owner != id) continue;
-    ServerId best = servers_.front();
-    double best_norm = std::numeric_limits<double>::infinity();
-    for (const ServerId s : servers_) {
-      const double norm = (acc[s] + load.demand[fs.value]) / speed_of(s);
-      if (norm < best_norm) {
-        best_norm = norm;
-        best = s;
-      }
-    }
-    owner = best;
-    acc[best] += load.demand[fs.value];
+  for (std::size_t fs = 0; fs < next.size(); ++fs) {
+    if (next[fs] != id) continue;
+    const ServerId best = least_loaded(acc, load.demand[fs]);
+    next[fs] = best;
+    acc[best] += load.demand[fs];
   }
-  return apply_assignment(refine(std::move(next), load));
+  return adopt(refine(std::move(next), load));
 }
 
 std::vector<Move> PrescientPolicy::on_server_added(ServerId id) {
   ANUFS_EXPECTS(config_.speeds.contains(id));
   add_server_id(id);
-  return apply_assignment(refine(assignment_, total_load()));
+  return adopt(refine(owners(), total_load()));
 }
 
 double PrescientPolicy::packed_skew(const std::vector<double>& demand) const {
   std::map<ServerId, double> acc;
   for (const ServerId id : servers_) acc[id] = 0.0;
-  for (const auto& [fs, owner] : assignment_) acc[owner] += demand[fs.value];
+  for (std::size_t fs = 0; fs < owners().size(); ++fs) {
+    acc[owners()[fs]] += demand[fs];
+  }
   double worst = 0.0;
   double total_speed = 0.0;
   double total_demand = 0.0;

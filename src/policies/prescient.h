@@ -95,23 +95,33 @@ class PrescientPolicy final : public AssignmentPolicyBase {
                                     double seconds, double speed,
                                     double norm_cap) const;
 
+  /// Per-server (demand, count) totals; every alive server present.
+  using ServerLoads = std::map<ServerId, std::pair<double, double>>;
+  [[nodiscard]] ServerLoads per_server(const std::vector<ServerId>& assignment,
+                                       const WindowLoad& load) const;
+
+  /// The alive server with the least normalized load after taking on
+  /// `demand` on top of its `acc` total (ties: lowest id).
+  [[nodiscard]] ServerId least_loaded(const std::map<ServerId, double>& acc,
+                                      double demand) const;
+
   /// The search objective of a full assignment (max server score).
   [[nodiscard]] double objective(
-      const std::map<FileSetId, ServerId>& assignment, const WindowLoad& load,
+      const std::vector<ServerId>& assignment, const WindowLoad& load,
       double norm_cap) const;
 
   /// LPT seed by normalized load.
-  [[nodiscard]] std::map<FileSetId, ServerId> pack_lpt(
+  [[nodiscard]] std::vector<ServerId> pack_lpt(
       const WindowLoad& load) const;
 
   /// One local-search pass (moves + swaps) minimizing max server_score.
-  [[nodiscard]] std::map<FileSetId, ServerId> search_pass(
-      std::map<FileSetId, ServerId> assignment, const WindowLoad& load,
+  [[nodiscard]] std::vector<ServerId> search_pass(
+      std::vector<ServerId> assignment, const WindowLoad& load,
       double norm_cap) const;
 
   /// Both passes: load skew first, then latency under the load cap.
-  [[nodiscard]] std::map<FileSetId, ServerId> refine(
-      std::map<FileSetId, ServerId> assignment, const WindowLoad& load) const;
+  [[nodiscard]] std::vector<ServerId> refine(
+      std::vector<ServerId> assignment, const WindowLoad& load) const;
 
   [[nodiscard]] double speed_of(ServerId id) const;
 

@@ -5,15 +5,9 @@ namespace anufs::policy {
 void RoundRobinPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
-  std::map<FileSetId, ServerId> next;
-  for (std::size_t i = 0; i < file_sets_.size(); ++i) {
-    next[file_sets_[i].id] = servers_[i % servers_.size()];
-  }
-  assignment_ = std::move(next);
-  commit_assignment();
+  begin_initialize(file_sets, servers);
+  assign_initial(
+      [this](std::size_t i) { return servers_[i % servers_.size()]; });
 }
 
 std::vector<Move> RoundRobinPolicy::on_server_failed(ServerId id) {
@@ -21,15 +15,7 @@ std::vector<Move> RoundRobinPolicy::on_server_failed(ServerId id) {
   ANUFS_EXPECTS(!servers_.empty());
   // Deal the victim's file sets around the survivors, preserving the
   // equal-count property as closely as possible.
-  std::vector<Move> moves;
-  for (auto& [fs, owner] : assignment_) {
-    if (owner != id) continue;
-    const ServerId to = servers_[next_rr_++ % servers_.size()];
-    moves.push_back(Move{fs, id, to});
-    owner = to;
-  }
-  commit_assignment();
-  return moves;
+  return rehome(id, [this] { return servers_[next_rr_++ % servers_.size()]; });
 }
 
 std::vector<Move> RoundRobinPolicy::on_server_added(ServerId id) {

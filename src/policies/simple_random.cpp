@@ -7,16 +7,11 @@ namespace anufs::policy {
 void SimpleRandomPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   sim::Xoshiro256 rng = sim::make_stream(seed_, "simple-random", draws_++);
-  std::map<FileSetId, ServerId> next;
-  for (const workload::FileSetSpec& fs : file_sets_) {
-    next[fs.id] = servers_[rng.next_below(servers_.size())];
-  }
-  assignment_ = std::move(next);
-  commit_assignment();
+  assign_initial([&](std::size_t) {
+    return servers_[rng.next_below(servers_.size())];
+  });
 }
 
 std::vector<Move> SimpleRandomPolicy::on_server_failed(ServerId id) {
@@ -24,15 +19,7 @@ std::vector<Move> SimpleRandomPolicy::on_server_failed(ServerId id) {
   ANUFS_EXPECTS(!servers_.empty());
   // Only the victim's file sets re-roll; survivors keep their sets.
   sim::Xoshiro256 rng = sim::make_stream(seed_, "simple-random", draws_++);
-  std::vector<Move> moves;
-  for (auto& [fs, owner] : assignment_) {
-    if (owner != id) continue;
-    const ServerId to = servers_[rng.next_below(servers_.size())];
-    moves.push_back(Move{fs, id, to});
-    owner = to;
-  }
-  commit_assignment();
-  return moves;
+  return rehome(id, [&] { return servers_[rng.next_below(servers_.size())]; });
 }
 
 std::vector<Move> SimpleRandomPolicy::on_server_added(ServerId id) {

@@ -42,20 +42,14 @@ void WeightedHashPolicy::reproportion() {
   ANUFS_ENSURES(regions.total_share() == kHalfInterval);
 }
 
-std::map<FileSetId, ServerId> WeightedHashPolicy::derive_assignment() const {
-  std::map<FileSetId, ServerId> next;
-  for (const workload::FileSetSpec& fs : file_sets_) {
-    next[fs.id] = map_->locate_server(fs.fingerprint);
-  }
-  return next;
+ServerId WeightedHashPolicy::derived_owner(std::size_t i) const {
+  return map_->locate_server(file_sets_[i].fingerprint);
 }
 
 void WeightedHashPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   map_ = std::make_unique<core::PlacementMap>(core::PlacementMap::for_servers(
       placement_config_, static_cast<std::uint32_t>(servers.size())));
   for (const ServerId id : servers_) {
@@ -63,15 +57,14 @@ void WeightedHashPolicy::initialize(
     map_->regions().add_server(id);
   }
   reproportion();
-  assignment_ = derive_assignment();
-  commit_assignment();
+  assign_initial([this](std::size_t i) { return derived_owner(i); });
 }
 
 std::vector<Move> WeightedHashPolicy::on_server_failed(ServerId id) {
   remove_server_id(id);
   map_->regions().remove_server(id);
   reproportion();
-  return apply_assignment(derive_assignment());
+  return reassign_all([this](std::size_t i) { return derived_owner(i); });
 }
 
 std::vector<Move> WeightedHashPolicy::on_server_added(ServerId id) {
@@ -83,7 +76,7 @@ std::vector<Move> WeightedHashPolicy::on_server_added(ServerId id) {
     regions.repartition_double();
   }
   reproportion();
-  return apply_assignment(derive_assignment());
+  return reassign_all([this](std::size_t i) { return derived_owner(i); });
 }
 
 }  // namespace anufs::policy

@@ -49,7 +49,8 @@ class WeightedHashPolicy final : public AssignmentPolicyBase {
  private:
   /// (Re)shape regions proportional to the capacities of alive servers.
   void reproportion();
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// Region-map owner of the file set with index `i`.
+  [[nodiscard]] ServerId derived_owner(std::size_t i) const;
 
   std::map<ServerId, double> capacities_;
   core::PlacementConfig placement_config_;

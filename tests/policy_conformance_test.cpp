@@ -13,6 +13,9 @@
 //    (ripple policies — ANU's half-occupancy cascade, weighted-hash
 //    re-proportioning — may move more, but must still clear v);
 //  * servers() stays sorted and tracks membership through fail/add;
+//  * every returned move record is exactly the owner() diff the call
+//    caused, in ascending FileSetId order;
+//  * initialize() rejects a non-dense file-set population;
 //  * a full scenario run is bit-identical at --jobs 1 vs 4.
 #include <gtest/gtest.h>
 
@@ -152,6 +155,85 @@ TEST(PolicyConformance, FailureRehomesVictimBeforeReturning) {
       EXPECT_TRUE(moved_from_victim.count(fs.value) == 1)
           << "victim set " << fs.value << " missing from move record";
     }
+  }
+}
+
+std::vector<ServerId> owner_snapshot(
+    const PlacementPolicy& pol,
+    const std::vector<workload::FileSetSpec>& sets) {
+  std::vector<ServerId> owners;
+  for (const workload::FileSetSpec& fs : sets) owners.push_back(pol.owner(fs.id));
+  return owners;
+}
+
+/// A call's move record must be exactly the before/after owner() diff,
+/// in strictly ascending FileSetId order: one Move per changed set, none
+/// for unchanged ones, each from the prior owner to the new one.
+void expect_moves_are_owner_diff(const std::vector<Move>& moves,
+                                 const std::vector<ServerId>& before,
+                                 const std::vector<ServerId>& after) {
+  std::vector<Move> diff;
+  for (std::uint32_t i = 0; i < before.size(); ++i) {
+    if (before[i] != after[i]) diff.push_back({FileSetId{i}, before[i], after[i]});
+  }
+  ASSERT_EQ(moves.size(), diff.size());
+  for (std::size_t k = 0; k < moves.size(); ++k) {
+    SCOPED_TRACE("move " + std::to_string(k));
+    EXPECT_EQ(moves[k].file_set, diff[k].file_set);
+    EXPECT_EQ(moves[k].from, diff[k].from);
+    EXPECT_EQ(moves[k].to, diff[k].to);
+    EXPECT_NE(moves[k].from, moves[k].to);
+    if (k > 0) {
+      EXPECT_LT(moves[k - 1].file_set.value, moves[k].file_set.value);
+    }
+  }
+}
+
+TEST(PolicyConformance, MovesAreTheOwnerDiffInIdOrder) {
+  const workload::Workload work = small_workload();
+  for (const PolicyInfo& info : registered_policies()) {
+    SCOPED_TRACE(info.name);
+    const auto pol = info.make(full_params(work));
+    pol->initialize(work.file_sets, initial_servers());
+    std::vector<ServerId> before = owner_snapshot(*pol, work.file_sets);
+    std::size_t total_moves = 0;
+    const auto check = [&](const std::vector<Move>& moves) {
+      const std::vector<ServerId> after = owner_snapshot(*pol, work.file_sets);
+      expect_moves_are_owner_diff(moves, before, after);
+      total_moves += moves.size();
+      before = after;
+    };
+    // Alternating skew: even servers hot on even rounds, odd on odd, so
+    // every adaptive policy has an overloaded server to relieve.
+    for (std::uint32_t round = 0; round < 5; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<core::ServerReport> reports;
+      for (const ServerId id : pol->servers()) {
+        const bool hot = id.value % 2 == round % 2;
+        reports.push_back({id, hot ? 0.030 : 0.002, 100});
+      }
+      check(pol->rebalance(60.0 * (round + 1), reports));
+    }
+    check(pol->on_server_failed(ServerId{2}));
+    check(pol->on_server_added(ServerId{5}));
+    EXPECT_GT(total_moves, 0u);  // the failure alone re-homes something
+  }
+}
+
+// The owner table is indexed by FileSetId, so every policy requires the
+// dense population every workload source produces (file_sets[i].id == i)
+// and aborts at initialize() rather than routing through a hole later.
+TEST(PolicyConformanceDeathTest, InitializeRejectsNonDenseIds) {
+  const workload::Workload work = small_workload();
+  std::vector<workload::FileSetSpec> gap = work.file_sets;
+  gap.back().id = FileSetId{static_cast<std::uint32_t>(gap.size())};
+  std::vector<workload::FileSetSpec> swapped = work.file_sets;
+  std::swap(swapped[0].id, swapped[1].id);
+  for (const PolicyInfo& info : registered_policies()) {
+    SCOPED_TRACE(info.name);
+    const auto pol = info.make(full_params(work));
+    EXPECT_DEATH(pol->initialize(gap, initial_servers()), "id.value == i");
+    EXPECT_DEATH(pol->initialize(swapped, initial_servers()), "id.value == i");
   }
 }
 
