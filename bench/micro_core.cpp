@@ -36,17 +36,22 @@ void BM_HashProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HashProbe);
 
-void BM_Locate(benchmark::State& state) {
+// Fresh random fingerprints through a PlacementCache: every lookup
+// misses, so this is the memo's overhead on top of the probe chain
+// (compare BM_LocateUncached).
+void BM_LocateCacheMiss(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < n; ++i) servers.push_back(ServerId{i});
   const core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(16384);
   sim::Xoshiro256 rng{123};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.locate(rng()));
+    benchmark::DoNotOptimize(cache.locate(system.placement(), rng()));
   }
+  state.counters["hit_rate"] = cache.stats().hit_rate();
 }
-BENCHMARK(BM_Locate)->Arg(5)->Arg(64)->Arg(512);
+BENCHMARK(BM_LocateCacheMiss)->Arg(5)->Arg(64)->Arg(512);
 
 // A simulated run touches the same file sets over and over: the paper's
 // workloads have hundreds of file sets, not millions (the synthetic
@@ -69,7 +74,7 @@ void BM_LocateUncached(benchmark::State& state) {
   const std::vector<std::uint64_t> fps = working_set_fps();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.locate_uncached(fps[i]));
+    benchmark::DoNotOptimize(system.locate_detailed(fps[i]));
     i = (i + 1) & (kWorkingSet - 1);
   }
 }
@@ -80,18 +85,18 @@ void BM_LocateCached(benchmark::State& state) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < n; ++i) servers.push_back(ServerId{i});
   const core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(16384);
   const std::vector<std::uint64_t> fps = working_set_fps();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.locate(fps[i]));
+    benchmark::DoNotOptimize(cache.locate(system.placement(), fps[i]));
     i = (i + 1) & (kWorkingSet - 1);
   }
-  const core::PlacementCache::Stats stats = system.cache_stats();
-  state.counters["hit_rate"] = stats.hit_rate();
+  state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 BENCHMARK(BM_LocateCached)->Arg(5)->Arg(64)->Arg(512);
 
-// Batched addressing (PlacementMap::locate_many, uncached): one SoA
+// Batched addressing (PlacementMap::locate_many, no cache): one SoA
 // sweep resolves the whole batch — round-major multi-lane mixing plus
 // contiguous owner-table probes — so the per-element cost (items/s)
 // is the number to compare against BM_LocateUncached's serial
@@ -107,7 +112,7 @@ void BM_LocateBatch(benchmark::State& state) {
   for (std::uint32_t k = 0; k < batch; ++k) in[k] = fps[k & (kWorkingSet - 1)];
   std::vector<core::LocateResult> out(batch);
   for (auto _ : state) {
-    system.locate_many_uncached(in, out);
+    system.locate_many(in, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -124,18 +129,19 @@ void BM_LocateBatchCached(benchmark::State& state) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < 64; ++i) servers.push_back(ServerId{i});
   const core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(16384);
   const std::vector<std::uint64_t> fps = working_set_fps();
   std::vector<std::uint64_t> in(batch);
   for (std::uint32_t k = 0; k < batch; ++k) in[k] = fps[k & (kWorkingSet - 1)];
   std::vector<core::LocateResult> out(batch);
   for (auto _ : state) {
-    system.locate_many(in, out);
+    cache.locate_many(system.placement(), in, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
-  state.counters["hit_rate"] = system.cache_stats().hit_rate();
+  state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 BENCHMARK(BM_LocateBatchCached)->Arg(1)->Arg(8)->Arg(64)->Arg(1024);
 

@@ -3,7 +3,8 @@
 # hot path. Produces BENCH_core.json at the repo root: one snapshot of
 #
 #   * the core microbenchmarks (google-benchmark JSON, bench/micro_core):
-#     hash probe, cached vs uncached locate, retune, scheduler throughput
+#     hash probe, cache-miss / cached / uncached locate, retune,
+#     scheduler throughput
 #   * an end-to-end multi-seed sweep (tools/anufs_sim --sweep) wall clock
 #   * optionally, the same sweep on a pre-change binary for a recorded
 #     before/after speedup (--baseline-bin)
@@ -20,13 +21,19 @@
 #                                               # churn) and merge it into an
 #                                               # existing BENCH_core.json
 #                                               # without re-running the sweep
-#   ./scripts/bench.sh --batch                  # re-measure only the batched
-#                                               # locate group (BM_LocateBatch,
+#   ./scripts/bench.sh --batch                  # re-measure only the locate
+#                                               # group (BM_LocateBatch,
 #                                               # BM_LocateBatchCached,
 #                                               # BM_ServeLocateBatch + their
-#                                               # scalar baselines) and merge
-#                                               # it as the `batch` group into
-#                                               # an existing BENCH_core.json
+#                                               # scalar baselines and
+#                                               # BM_LocateCacheMiss) and
+#                                               # merge it as the `batch`
+#                                               # group (plus the derived
+#                                               # cached speedup) into an
+#                                               # existing BENCH_core.json,
+#                                               # replacing every stored
+#                                               # BM_Locate*/BM_ServeLocate*
+#                                               # entry
 #   ./scripts/bench.sh --policies               # re-measure only the policy-
 #                                               # zoo decision paths
 #                                               # (BM_PowDChoose,
@@ -167,6 +174,8 @@ JQ_BATCH='
       ($bench["BM_LocateUncached/64"].time_ns /
        ($bench["BM_LocateBatch/64"].time_ns / 64))
   } as $batch |
+  ($bench["BM_LocateUncached/64"].time_ns /
+   $bench["BM_LocateCached/64"].time_ns) as $cached_speedup |
 '
 
 if [ "$BATCH_ONLY" -eq 1 ]; then
@@ -194,12 +203,15 @@ if [ "$BATCH_ONLY" -eq 1 ]; then
                                            cpu_ns: .cpu_time,
                                            hit_rate: (.hit_rate // null)}})
        | add) as $bench |
-    $base * {
+    ($base.micro // {}
+       | with_entries(select(.key | test("^BM_(Locate|ServeLocate)")
+                               | not))) as $kept |
+    ($base * {
       recorded_at: $date,
       commit: $commit,
-      micro: (($base.micro // {}) + $bench),
-      batch: $batch
-    }' >"$TMP"
+      batch: $batch,
+      derived: {locate_cached_speedup_64: $cached_speedup}
+    }) | .micro = ($kept + $bench)' >"$TMP"
   mv "$TMP" "$OUT"
   rm -f "$MICRO_JSON"
   echo "== merged batch group into $OUT"
@@ -349,9 +361,7 @@ jq -n \
     host: $host,
     micro: $bench,
     derived: {
-      locate_cached_speedup_64: (
-        $bench["BM_LocateUncached/64"].time_ns /
-        $bench["BM_LocateCached/64"].time_ns),
+      locate_cached_speedup_64: $cached_speedup,
       scheduler_events_per_sec: (
         1e9 / $bench["BM_SchedulerThroughput"].time_ns)
     },

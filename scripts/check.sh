@@ -26,9 +26,10 @@
 #             walk, auditor forced on) from the default preset's build
 #             — a fast tripwire for anyone touching the tuner or
 #             region map without running the full property suite
-#   batch-smoke  replay the locate_many churn interleavings (batched
-#             answers bit-identical to the scalar sequence, cache stats
-#             included, auditor forced on) from the default preset's
+#   batch-smoke  replay the locate_many churn interleavings against a
+#             standalone PlacementCache per twin system (batched answers
+#             bit-identical to the scalar sequence, exact hit/miss
+#             counts, auditor forced on) from the default preset's
 #             build — the tripwire for anyone touching the mixers,
 #             the owner-table layout, or the batch cache path
 #   serve-smoke  a 2-thread 1-second anufs_serve run (default preset's

@@ -6,7 +6,8 @@
 // failure/recovery/commission/decommission with the paper's semantics:
 // only the affected measure moves, survivors preserve their regions (and
 // therefore their caches), and the interval re-partitions itself when
-// growth demands it.
+// growth demands it. It memoizes nothing: every locate() is calculated
+// from the region map.
 #pragma once
 
 #include <array>
@@ -65,45 +66,32 @@ class AnuSystem {
   AnuSystem(AnuConfig config, const std::vector<ServerId>& initial);
 
   // ---- addressing -------------------------------------------------------
-  // Request routing goes through a generation-stamped PlacementCache:
-  // repeated lookups between reconfigurations skip the probe chain
-  // entirely while staying bit-identical to the uncached derivation (any
-  // region-map mutation bumps the generation, fencing every entry). The
-  // cache is mutable state behind a const API, which is why an AnuSystem
-  // is confined to one thread — the rule every per-run simulator object
-  // already follows (see sim::Scheduler).
+  // Request routing is calculated, not memoized: every call walks the
+  // probe chain of placement_ ("successive hash probes incur negligible
+  // costs", §4). An AnuSystem therefore holds no mutable state behind
+  // its const API; serving-side readers that do want a memo own a
+  // PlacementCache over placement() (see serve::LookupService).
 
   [[nodiscard]] ANUFS_HOT ServerId locate(std::uint64_t fingerprint) const {
-    return cache_.locate(placement_, fingerprint).server;
+    return placement_.locate(fingerprint).server;
   }
   [[nodiscard]] ANUFS_HOT LocateResult locate_detailed(std::uint64_t fp) const {
-    return cache_.locate(placement_, fp);
-  }
-
-  /// The full probe-chain derivation, bypassing the cache (benchmarks
-  /// and the cache's own property tests compare against this).
-  [[nodiscard]] ANUFS_HOT LocateResult locate_uncached(std::uint64_t fp) const {
     return placement_.locate(fp);
   }
 
   /// Batched addressing for bulk consumers (recovery re-homing,
-  /// commissioning, workload replay): out[i] is bit-identical to
-  /// locate_detailed(fps[i]) called in index order, including post-batch
-  /// cache state — see PlacementCache::locate_many.
+  /// commissioning, workload replay): one SoA sweep; out[i] is
+  /// bit-identical to locate_detailed(fps[i]).
   ANUFS_HOT void locate_many(std::span<const std::uint64_t> fps,
                              std::span<LocateResult> out) const {
-    cache_.locate_many(placement_, fps, out);
-  }
-
-  /// Batched uncached derivation (one SoA sweep, no cache reads or
-  /// installs): out[i] is bit-identical to locate_uncached(fps[i]).
-  ANUFS_HOT void locate_many_uncached(std::span<const std::uint64_t> fps,
-                                      std::span<LocateResult> out) const {
     placement_.locate_many(fps, out);
   }
 
+  /// Always zero: an AnuSystem keeps no placement cache. Kept only for
+  /// benchmark/src/sim_workloads.cpp:249, which reports the simulator's
+  /// cache layer as 0, as it does for any layer a workload never runs.
   [[nodiscard]] PlacementCache::Stats cache_stats() const noexcept {
-    return cache_.stats();
+    return {};
   }
 
   // ---- reconfiguration --------------------------------------------------
@@ -161,7 +149,6 @@ class AnuSystem {
   PlacementMap placement_;
   Delegate delegate_;
   PairwiseTuner pairwise_;
-  mutable PlacementCache cache_;
   std::uint64_t version_ = 0;
   ControlPlaneStats control_stats_;
 };

@@ -24,7 +24,7 @@
 //    additionally require the membership stamp to be unchanged, since
 //    the direct hash indexes the alive list.
 //
-// A hit — fast or revalidated — is bit-identical to an uncached locate()
+// A hit — fast or revalidated — is bit-identical to PlacementMap::locate()
 // by construction (tests/placement_cache_test.cpp re-proves this under
 // the invariant auditor for random mutation/lookup interleavings).
 //
@@ -32,19 +32,24 @@
 // on residency, only on the stamp checks. The table never allocates
 // after construction.
 //
+// Who uses it: serving mode gives every reader thread its own cache over
+// the published snapshots (serve::LookupService); benchmarks and tests
+// build one over a PlacementMap they own. The simulator does not: its
+// AnuSystem calculates every locate(), because on simulator traffic
+// (each file set resolved once per reconfiguration) a memo only adds a
+// miss path on top of PlacementMap::locate_many.
+//
 // Thread ownership: like the Scheduler, a PlacementCache is confined to
 // one thread for MUTATION — exactly one thread ever calls locate() or
-// clear() on a given instance. Concurrent simulations each own their own
-// cache (AnuSystem embeds one per instance, each parallel-sweep run owns
-// its system, and serving mode gives every reader thread its own). The
-// hit/miss counters, however, are single-writer relaxed atomics, so
-// stats() is safe to call from ANY thread at any time: serving mode
-// harvests per-thread cache effectiveness into run_metrics while the
-// readers are still running (tests/serve_harvest_test.cpp proves the
-// mid-serve harvest is race-free under TSan). Single-writer is what
-// makes the load+store increment below exact — there is no concurrent
-// increment to lose — while costing the owner a plain add, not an
-// interlocked RMW, on the ~2.7 ns hot path.
+// clear() on a given instance. The hit/miss counters, however, are
+// single-writer relaxed atomics, so stats() is safe to call from ANY
+// thread at any time: serving mode harvests per-thread cache
+// effectiveness into run_metrics while the readers are still running
+// (tests/serve_harvest_test.cpp proves the mid-serve harvest is
+// race-free under TSan). Single-writer is what makes the load+store
+// increment below exact — there is no concurrent increment to lose —
+// while costing the owner a plain add, not an interlocked RMW, on the
+// ~2.7 ns hot path.
 #pragma once
 
 #include <algorithm>
@@ -82,55 +87,15 @@ class PlacementCache {
     }
   };
 
-  /// `capacity` is rounded up to a power of two. The default (16384
-  /// slots, ~640 KiB) keeps direct-mapped collisions under ~3% for the
-  /// simulator's file-set working sets (hundreds of sets); residency
-  /// only affects speed, never answers.
-  explicit PlacementCache(std::size_t capacity = 16384)
+  /// `capacity` is rounded up to a power of two; residency only affects
+  /// speed, never answers. Every owner sizes its own table (serving
+  /// readers from the file-set count, benchmarks and tests explicitly).
+  explicit PlacementCache(std::size_t capacity)
       : mask_(round_up_pow2(capacity) - 1),
         slots_(mask_ + 1),
         scratch_fps_(kBatchChunk),
         scratch_results_(kBatchChunk),
         scratch_ranks_(kBatchChunk) {}
-
-  // Moves belong to the owning thread, BEFORE the instance has been
-  // advertised to any stats() reader (a move during concurrent harvest
-  // would be a race by construction). The atomics only make the
-  // counters any-thread-readable; they do not make the cache itself a
-  // shared object.
-  PlacementCache(PlacementCache&& other) noexcept
-      : mask_(other.mask_),
-        slots_(std::move(other.slots_)),
-        scratch_fps_(std::move(other.scratch_fps_)),
-        scratch_results_(std::move(other.scratch_results_)),
-        scratch_ranks_(std::move(other.scratch_ranks_)),
-        last_gen_(other.last_gen_) {
-    hits_.store(other.hits_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    misses_.store(other.misses_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    invalidations_.store(other.invalidations_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    revalidated_.store(other.revalidated_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
-  PlacementCache& operator=(PlacementCache&& other) noexcept {
-    mask_ = other.mask_;
-    slots_ = std::move(other.slots_);
-    scratch_fps_ = std::move(other.scratch_fps_);
-    scratch_results_ = std::move(other.scratch_results_);
-    scratch_ranks_ = std::move(other.scratch_ranks_);
-    last_gen_ = other.last_gen_;
-    hits_.store(other.hits_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    misses_.store(other.misses_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    invalidations_.store(other.invalidations_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    revalidated_.store(other.revalidated_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
 
   /// Resolve `fp` against `map`, serving from the cache when the entry
   /// provably still matches the map (same generation, or no touched
@@ -377,8 +342,8 @@ class PlacementCache {
   std::vector<std::uint32_t> scratch_ranks_;
   std::uint64_t last_gen_ = 0;
   // Owner-thread-written, any-thread-readable (see class comment). The
-  // atomics delete the copy operations (callers never replicate a
-  // cache) and force the explicit owner-thread-only moves above.
+  // atomics delete the copy and move operations: a cache stays where its
+  // owner built it.
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> invalidations_{0};

@@ -52,15 +52,7 @@ obs::Registry collect_run_metrics(const ScenarioConfig& config,
     }
   }
 
-  // ANU placement-cache effectiveness, when the policy carries one.
   if (const auto* anu = dynamic_cast<const policy::AnuPolicy*>(policy)) {
-    const core::PlacementCache::Stats cs = anu->system().cache_stats();
-    reg.counter("placement_cache.hits").set(cs.hits);
-    reg.counter("placement_cache.misses").set(cs.misses);
-    reg.counter("placement_cache.invalidations").set(cs.invalidations);
-    reg.counter("placement_cache.revalidated").set(cs.revalidated);
-    reg.gauge("placement_cache.hit_rate").set(cs.hit_rate());
-
     // Control-plane cost: how many servers each reconfiguration or
     // membership event actually reshaped (the O(changed) ledger).
     const core::ControlPlaneStats& cp =

@@ -123,8 +123,8 @@ struct ScenarioConfig {
   [[nodiscard]] bool is_sweep() const noexcept { return sweep_end != 0; }
   /// Serving phase (src/serve): serve_threads > 0 appends a REAL-TIME
   /// concurrent serving run after the simulated one — serve_threads
-  /// reader threads issue cached locates against a live AnuSystem while
-  /// a writer churns the control plane through epoch snapshots. The
+  /// reader threads issue cached locates against the placement
+  /// snapshots a writer publishes as it churns the control plane. The
   /// scenario's seed, file_sets, fault plan, and ANU knobs shape it;
   /// its serve_* metrics join the exported registry, and the phase
   /// aborts the scenario if the sequential-replay equivalence check

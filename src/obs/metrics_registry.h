@@ -2,7 +2,7 @@
 // log-scale histograms under one naming surface.
 //
 // The simulator's subsystems keep their zero-overhead collection
-// structs (sim::Scheduler::Stats, core::PlacementCache::Stats, the
+// structs (sim::Scheduler::Stats, core::ControlPlaneStats, the
 // RunResult counters) — those are plain fields on the hot path and the
 // tests read them directly. What used to be ad hoc is the EXPORT side:
 // every binary formatted its own subset by hand. The registry is the

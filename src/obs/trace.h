@@ -26,7 +26,7 @@
 //
 // Thread ownership: the sink pointer is thread-local, matching the
 // one-thread-per-run confinement rule every simulator object already
-// follows (sim::Scheduler, core::PlacementCache). A parallel sweep
+// follows (sim::Scheduler, core::AnuSystem). A parallel sweep
 // installs one sink per worker-thread run; runs without a sink trace
 // nothing. Event names and field keys must be string literals (the
 // sink stores the pointers, not copies).

@@ -5,9 +5,7 @@ namespace anufs::policy {
 std::vector<Move> AnuPolicy::rederive() {
   // Batched re-derivation: one locate_many sweep (SoA probe rounds over
   // the whole working set) replaces chasing each file set's probe chain
-  // to completion. Fingerprints are in id order, so the placement cache
-  // sees exactly the lookup sequence a scalar loop would issue —
-  // hit/miss accounting and post-call cache state are unchanged.
+  // to completion, with answers bit-identical to the scalar loop.
   system_->locate_many(fingerprints_, located_);
   return reassign_all([this](std::size_t i) { return located_[i].server; });
 }

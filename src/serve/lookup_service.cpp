@@ -462,20 +462,20 @@ EquivalenceReport LookupService::check_equivalence() const {
   // Sequential replay: a fresh system, the recorded ops in order. Every
   // published generation appears at exactly one op boundary (or the
   // initial state), and the samples served from it must match the
-  // uncached sequential derivation bit-for-bit.
+  // sequential derivation (no cache) bit-for-bit.
   core::AnuSystem replay(config_.anu, initial_ids_);
   std::vector<std::uint64_t> bucket_fps;
   std::vector<core::LocateResult> bucket_refs;
   const auto validate_at = [&](std::uint64_t generation) {
     const auto it = by_gen.find(generation);
     if (it == by_gen.end()) return;
-    // One batched uncached sweep re-derives the whole generation bucket.
+    // One batched sweep re-derives the whole generation bucket.
     bucket_fps.resize(it->second.size());
     bucket_refs.resize(it->second.size());
     for (std::size_t i = 0; i < it->second.size(); ++i) {
       bucket_fps[i] = it->second[i]->fingerprint;
     }
-    replay.locate_many_uncached(bucket_fps, bucket_refs);
+    replay.locate_many(bucket_fps, bucket_refs);
     for (std::size_t i = 0; i < it->second.size(); ++i) {
       const Sample* s = it->second[i];
       ++report.samples_checked;

@@ -1,6 +1,8 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <string>
 
 #include "common/check.h"
@@ -44,6 +46,13 @@ Workload make_synthetic(const SyntheticConfig& config) {
   // of how many sets exist.
   const double total_rate =
       static_cast<double>(config.total_requests) / config.duration;
+  // The merged arrival count is Poisson with mean total_requests, so
+  // reserve the mean plus four standard deviations (4 * sqrt(mean)): the
+  // stream is allocated once, and a rarer overshoot costs one
+  // reallocation, never a different workload.
+  const auto expected = static_cast<double>(config.total_requests);
+  w.requests.reserve(static_cast<std::size_t>(
+      expected + 4.0 * std::ceil(std::sqrt(expected))));
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
     const double rate = total_rate * (rate_shape[i] / shape_sum);
     sim::Xoshiro256 rng = sim::make_stream(config.seed, "synthetic.set", i);

@@ -1,7 +1,7 @@
 // Property tests for the batched locate path: locate_many must be
 // bit-identical, element by element, to the scalar sequence it replaces
 // — all four LocateResult fields against both the scalar cached path and
-// the uncached probe-chain derivation — and must leave the
+// PlacementMap::locate() — and must leave a standalone
 // PlacementCache in exactly the state the scalar sequence would have
 // (identical hit/miss/revalidated/invalidation counts), under random
 // batch sizes (1..4096), heavy fingerprint duplication, fallback-heavy
@@ -11,6 +11,7 @@
 // --jobs count fold to the same digests.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -27,6 +28,8 @@ namespace anufs {
 namespace {
 
 using core::LocateResult;
+
+constexpr std::size_t kSlots = 16384;
 
 void force_auditing() {
   setenv("ANUFS_AUDIT", "1", /*overwrite=*/1);
@@ -58,11 +61,11 @@ void expect_same_stats(const core::PlacementCache::Stats& a,
 }
 
 // One random churn/lookup interleaving, run against TWO identically-
-// mutated systems: one answers every batch through locate_many, the
-// other answers the same fingerprints through the scalar cache path in
-// index order. The batch contract is that they never diverge — results,
-// counters, or post-batch cache state. Returns the digest over every
-// batched answer.
+// mutated systems, each with its own cache: one answers every batch
+// through PlacementCache::locate_many, the other answers the same
+// fingerprints through the scalar cache path in index order. The batch
+// contract is that they never diverge — results, counters, or
+// post-batch cache state. Returns the digest over every batched answer.
 std::uint64_t run_interleaving(std::uint64_t seed) {
   sim::Xoshiro256 rng{sim::make_stream(seed, "locate-batch")};
 
@@ -81,6 +84,8 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
   }
   core::AnuSystem batch_sys{config, initial};
   core::AnuSystem scalar_sys{config, initial};
+  core::PlacementCache batch_cache(kSlots);
+  core::PlacementCache scalar_cache(kSlots);
 
   // A small pool revisited with high probability: batches carry heavy
   // duplication, so duplicate-after-miss aliasing inside one batch is a
@@ -142,11 +147,13 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
       for (auto& fp : fps) {
         fp = (rng() % 4 != 0) ? pool[rng() % pool.size()] : rng();
       }
-      batch_sys.locate_many_uncached(fps, got_uncached);
-      batch_sys.locate_many(fps, got);
+      batch_sys.locate_many(fps, got_uncached);
+      batch_cache.locate_many(batch_sys.placement(), fps, got);
       for (std::size_t i = 0; i < size; ++i) {
-        const LocateResult scalar_cached = scalar_sys.locate_detailed(fps[i]);
-        const LocateResult scalar_uncached = scalar_sys.locate_uncached(fps[i]);
+        const LocateResult scalar_cached =
+            scalar_cache.locate(scalar_sys.placement(), fps[i]);
+        const LocateResult scalar_uncached =
+            scalar_sys.placement().locate(fps[i]);
         expect_same(got[i], scalar_cached, "batched-cached vs scalar", i);
         expect_same(got_uncached[i], scalar_uncached,
                     "batched-uncached vs scalar", i);
@@ -158,10 +165,10 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
       // equality with the scalar sequence (and implied by the
       // element-wise identity continuing to hold on later batches that
       // revisit the same slots).
-      expect_same_stats(batch_sys.cache_stats(), scalar_sys.cache_stats());
+      expect_same_stats(batch_cache.stats(), scalar_cache.stats());
     }
   }
-  EXPECT_GT(batch_sys.cache_stats().hits, 0u);
+  EXPECT_GT(batch_cache.stats().hits, 0u);
   if (config.placement.max_rounds == 1) {
     // A one-round budget at half occupancy falls back ~half the time;
     // the interleaving must actually have exercised the fallback sweep.
@@ -199,11 +206,12 @@ TEST(LocateBatch, EmptyBatchIsANoOp) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < 4; ++i) servers.push_back(ServerId{i});
   const core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(kSlots);
   std::vector<std::uint64_t> fps;
   std::vector<LocateResult> out;
+  cache.locate_many(system.placement(), fps, out);
   system.locate_many(fps, out);
-  system.locate_many_uncached(fps, out);
-  const core::PlacementCache::Stats stats = system.cache_stats();
+  const core::PlacementCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 0u);
   EXPECT_EQ(stats.invalidations, 0u);  // not even the warm-up epoch bump
 }
@@ -215,15 +223,16 @@ TEST(LocateBatch, DuplicateFingerprintsHitTheBatchInstall) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < 5; ++i) servers.push_back(ServerId{i});
   const core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(kSlots);
 
   const std::vector<std::uint64_t> fps(8, 0xDEADBEEFCAFEF00DULL);
   std::vector<LocateResult> out(8);
-  system.locate_many(fps, out);
-  const LocateResult ref = system.locate_uncached(fps[0]);
+  cache.locate_many(system.placement(), fps, out);
+  const LocateResult ref = system.placement().locate(fps[0]);
   for (std::size_t i = 0; i < fps.size(); ++i) {
     expect_same(out[i], ref, "duplicate batch", i);
   }
-  const core::PlacementCache::Stats stats = system.cache_stats();
+  const core::PlacementCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 7u);
 }

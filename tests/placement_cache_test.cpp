@@ -1,13 +1,15 @@
 // Property tests for core::PlacementCache: a cached locate() must be
-// bit-identical to the uncached probe-chain derivation in EVERY field of
-// LocateResult, under arbitrary interleavings of map mutations
-// (failures, additions, tuning rounds) and lookups, with the invariant
-// auditor forced on so every mutation is audited mid-interleaving. The
+// bit-identical to PlacementMap::locate() in EVERY field of
+// LocateResult, under arbitrary interleavings of map mutations (failures,
+// additions, tuning rounds) and lookups, with the invariant auditor
+// forced on so every mutation is audited mid-interleaving. The
 // digest test re-proves the cluster-level reproducibility contract at
 // the cache layer: the same interleaving replayed at any --jobs count
-// folds to the same digest.
+// folds to the same digest. Each test owns a standalone cache over the
+// map of an AnuSystem it mutates, the way a serving reader does.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -23,6 +25,8 @@ namespace anufs {
 namespace {
 
 using core::LocateResult;
+
+constexpr std::size_t kSlots = 16384;
 
 void force_auditing() {
   setenv("ANUFS_AUDIT", "1", /*overwrite=*/1);
@@ -51,6 +55,7 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
     initial.push_back(ServerId{i});
   }
   core::AnuSystem system{core::AnuConfig{}, initial};
+  core::PlacementCache cache(kSlots);
 
   // A small fingerprint pool revisited with high probability, so the
   // cache's hit path (not just the fill path) is exercised.
@@ -89,8 +94,8 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
       for (int i = 0; i < 16; ++i) {
         const std::uint64_t fp =
             (rng() % 4 != 0) ? pool[rng() % pool.size()] : rng();
-        const LocateResult cached = system.locate_detailed(fp);
-        const LocateResult uncached = system.locate_uncached(fp);
+        const LocateResult cached = cache.locate(system.placement(), fp);
+        const LocateResult uncached = system.placement().locate(fp);
         EXPECT_EQ(cached.server, uncached.server);
         EXPECT_EQ(cached.probes, uncached.probes);
         EXPECT_EQ(cached.fallback, uncached.fallback);
@@ -101,8 +106,8 @@ std::uint64_t run_interleaving(std::uint64_t seed) {
     }
   }
   // The interleaving must actually have exercised the hit path.
-  EXPECT_GT(system.cache_stats().hits, 0u);
-  EXPECT_GT(system.cache_stats().invalidations, 1u);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().invalidations, 1u);
   return digest;
 }
 
@@ -139,14 +144,15 @@ TEST(PlacementCache, RepeatLookupIsAHitAndMutationsNeverChangeAnswers) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < 5; ++i) servers.push_back(ServerId{i});
   core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(kSlots);
 
   const std::uint64_t fp = 0xDEADBEEFCAFEF00DULL;
-  const LocateResult first = system.locate_detailed(fp);
-  EXPECT_EQ(system.cache_stats().hits, 0u);
-  EXPECT_EQ(system.cache_stats().misses, 1u);
+  const LocateResult first = cache.locate(system.placement(), fp);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 
-  const LocateResult second = system.locate_detailed(fp);
-  EXPECT_EQ(system.cache_stats().hits, 1u);
+  const LocateResult second = cache.locate(system.placement(), fp);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(second.server, first.server);
   EXPECT_EQ(second.probes, first.probes);
 
@@ -154,15 +160,15 @@ TEST(PlacementCache, RepeatLookupIsAHitAndMutationsNeverChangeAnswers) {
   // to the touched partitions, so this lookup may be a revalidated hit
   // (failure did not move anything under this fingerprint's chain) or a
   // miss (it did) — but in either case the answer is bit-identical to
-  // the uncached derivation, and every lookup is accounted exactly once.
+  // PlacementMap::locate(), and every lookup is accounted exactly once.
   system.fail_server(ServerId{first.server == ServerId{0} ? 1u : 0u});
-  const LocateResult after = system.locate_detailed(fp);
-  const LocateResult reference = system.locate_uncached(fp);
+  const LocateResult after = cache.locate(system.placement(), fp);
+  const LocateResult reference = system.placement().locate(fp);
   EXPECT_EQ(after.server, reference.server);
   EXPECT_EQ(after.probes, reference.probes);
   EXPECT_EQ(after.fallback, reference.fallback);
   EXPECT_EQ(after.position, reference.position);
-  const core::PlacementCache::Stats stats = system.cache_stats();
+  const core::PlacementCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 3u);
   EXPECT_EQ(stats.invalidations, 2u);  // warm-up epoch + the failure
 }
@@ -177,15 +183,18 @@ TEST(PlacementCache, HitRateSurvivesMembershipChurn) {
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < 64; ++i) servers.push_back(ServerId{i});
   core::AnuSystem system{core::AnuConfig{}, servers};
+  core::PlacementCache cache(kSlots);
 
   sim::Xoshiro256 rng{sim::make_stream(7, "cache-churn")};
   std::vector<std::uint64_t> pool(4096);
   for (auto& fp : pool) fp = rng();
 
   // Warm the cache.
-  for (const std::uint64_t fp : pool) (void)system.locate_detailed(fp);
+  for (const std::uint64_t fp : pool) {
+    (void)cache.locate(system.placement(), fp);
+  }
 
-  const core::PlacementCache::Stats warm = system.cache_stats();
+  const core::PlacementCache::Stats warm = cache.stats();
   std::uint32_t next_id = 64;
   std::uint64_t post_churn_lookups = 0;
   for (int round = 0; round < 10; ++round) {
@@ -196,8 +205,8 @@ TEST(PlacementCache, HitRateSurvivesMembershipChurn) {
       system.add_server(ServerId{next_id++});
     }
     for (const std::uint64_t fp : pool) {
-      const LocateResult cached = system.locate_detailed(fp);
-      const LocateResult reference = system.locate_uncached(fp);
+      const LocateResult cached = cache.locate(system.placement(), fp);
+      const LocateResult reference = system.placement().locate(fp);
       ASSERT_EQ(cached.server, reference.server);
       ASSERT_EQ(cached.probes, reference.probes);
       ASSERT_EQ(cached.fallback, reference.fallback);
@@ -205,7 +214,7 @@ TEST(PlacementCache, HitRateSurvivesMembershipChurn) {
       ++post_churn_lookups;
     }
   }
-  const core::PlacementCache::Stats after = system.cache_stats();
+  const core::PlacementCache::Stats after = cache.stats();
   const std::uint64_t post_hits = after.hits - warm.hits;
   const double post_hit_rate =
       static_cast<double>(post_hits) /
@@ -233,7 +242,7 @@ TEST(PlacementCache, TinyCacheCollisionsNeverChangeAnswers) {
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t fp = pool[rng() % pool.size()];
     const LocateResult cached = tiny.locate(system.placement(), fp);
-    const LocateResult reference = system.locate_uncached(fp);
+    const LocateResult reference = system.placement().locate(fp);
     EXPECT_EQ(cached.server, reference.server);
     EXPECT_EQ(cached.probes, reference.probes);
     EXPECT_EQ(cached.fallback, reference.fallback);

@@ -101,7 +101,7 @@ std::uint64_t churn_plan(core::AnuSystem& system, std::uint32_t& next_id,
     }
     digest = fold_regions(digest, system.regions());
     for (int probe = 0; probe < 8; ++probe) {
-      const core::LocateResult r = system.locate_uncached(rng());
+      const core::LocateResult r = system.locate_detailed(rng());
       digest = fold(digest, r.server.value);
       digest = fold(digest, r.probes);
       digest = fold(digest, r.fallback ? 3 : 4);

@@ -62,6 +62,20 @@ TEST(Synthetic, PaperScaleDefaults) {
   EXPECT_NEAR(static_cast<double>(w.request_count()), 100000.0, 2000.0);
 }
 
+TEST(Synthetic, RequestStreamIsAllocatedOnce) {
+  // The arrival count is Poisson with mean total_requests, and the
+  // generator reserves the mean plus 4 sigma up front, so the stream's
+  // capacity sits within that margin of its size instead of at the next
+  // power of two of a doubling vector.
+  const SyntheticConfig config;
+  const Workload w = make_synthetic(config);
+  const double mean = static_cast<double>(config.total_requests);
+  const double margin = 4.0 * std::ceil(std::sqrt(mean));
+  EXPECT_GE(w.requests.capacity(), w.requests.size());
+  EXPECT_LE(static_cast<double>(w.requests.capacity()),
+            static_cast<double>(w.requests.size()) + 2.0 * margin);
+}
+
 TEST(Synthetic, ActivityIsHeterogeneous) {
   // The paper's headline: >100x spread between busiest and quietest.
   const Workload w = make_synthetic(SyntheticConfig{});
