@@ -209,9 +209,13 @@ void BM_ServeLocateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLocateBatch)->Arg(1)->Arg(64)->Arg(256);
 
+// Argument: calendar depth (events pending at every step). 64 is a
+// paper-scale run; sim-scale peaks near 42k pending, so 65536 is the
+// depth that decides the simulator's event rate there.
 void BM_SchedulerThroughput(benchmark::State& state) {
+  const auto backlog = static_cast<int>(state.range(0));
   sim::Scheduler sched;
-  sched.reserve(256);
+  sched.reserve(static_cast<std::size_t>(backlog));
   // Self-rescheduling tickers: every fired event schedules exactly one
   // more, so the pool reaches steady state immediately and every
   // schedule after warmup is served from the free list.
@@ -222,9 +226,8 @@ void BM_SchedulerThroughput(benchmark::State& state) {
     }
   };
   Ticker ticker{sched};
-  constexpr int kBacklog = 64;
-  for (int i = 0; i < kBacklog; ++i) {
-    ticker.arm(static_cast<double>(i) / kBacklog);
+  for (int i = 0; i < backlog; ++i) {
+    ticker.arm(static_cast<double>(i) / backlog);
   }
   for (auto _ : state) {
     sched.step();
@@ -235,7 +238,7 @@ void BM_SchedulerThroughput(benchmark::State& state) {
       static_cast<double>(stats.pool_allocated);
   state.counters["pool_recycled"] = static_cast<double>(stats.pool_recycled);
 }
-BENCHMARK(BM_SchedulerThroughput);
+BENCHMARK(BM_SchedulerThroughput)->Arg(64)->Arg(4096)->Arg(65536);
 
 // Steady-state retune: the same report set against an unmoved map,
 // round after round — the common case of a converged cluster. With

@@ -41,6 +41,14 @@ ClusterSim::ClusterSim(ClusterConfig config,
       net_rng_(sim::make_stream(config_.seed, "net")) {
   ANUFS_EXPECTS(!config_.server_speeds.empty());
   ANUFS_EXPECTS(config_.reconfig_period > 0.0);
+  const std::size_t sets = workload_.file_sets.size();
+  for (std::size_t i = 0; i < sets; ++i) {
+    // The per-set tables below are indexed by FileSetId.value.
+    ANUFS_EXPECTS(workload_.file_sets[i].id.value == i);
+  }
+  unavailable_until_.assign(sets, 0.0);
+  held_.resize(sets);
+  if (config_.routing.model_staleness) stale_.resize(sets);
   std::vector<ServerId> initial;
   for (std::uint32_t i = 0; i < config_.server_speeds.size(); ++i) {
     const ServerId id{i};
@@ -141,6 +149,7 @@ void ClusterSim::schedule_addition(sim::SimTime t, ServerId id,
 
 void ClusterSim::arrive(std::size_t index) {
   const workload::RequestEvent& r = workload_.requests[index];
+  ANUFS_EXPECTS(r.file_set.value < held_.size());
   // The issuing client blocks on metadata from this instant.
   if (config_.san.enabled) san_.on_metadata_issued();
 
@@ -148,32 +157,29 @@ void ClusterSim::arrive(std::size_t index) {
   // reconfiguration sends to the previous owner, which re-hashes the
   // name and forwards after the forwarding work clears its queue.
   bool forwarded = false;
+  // A set never moved, or whose mapping has propagated, is not stale.
   if (config_.routing.model_staleness) {
-    const auto stale = stale_.find(r.file_set);
-    if (stale != stale_.end()) {
-      if (sched_.now() >= stale->second.second) {
-        stale_.erase(stale);  // mapping has propagated
-      } else if (node(stale->second.first).alive()) {
-        ++result_.forwarded;
-        forwarded = true;
-        // The request is now "between servers": if the forwarder
-        // crashes while it queues, or the hop lands past the horizon,
-        // the ledger still accounts for it (in_transit_at_end).
-        ++in_transit_;
-        const FileSetId fs = r.file_set;
-        const double demand = r.demand;
-        const sim::SimTime arrival = r.time;
-        node(stale->second.first)
-            .stall_then(config_.routing.forward_demand,
-                        [this, fs, demand, arrival, index] {
-                          sched_.schedule_in(
-                              config_.routing.forward_hop,
-                              [this, fs, demand, arrival, index] {
-                                --in_transit_;
-                                deliver(fs, demand, arrival, index);
-                              });
-                        });
-      }
+    const StaleRoute& stale = stale_[r.file_set.value];
+    if (sched_.now() < stale.until && node(stale.previous).alive()) {
+      ++result_.forwarded;
+      forwarded = true;
+      // The request is now "between servers": if the forwarder crashes
+      // while it queues, or the hop lands past the horizon, the ledger
+      // still accounts for it (in_transit_at_end).
+      ++in_transit_;
+      const FileSetId fs = r.file_set;
+      const double demand = r.demand;
+      const sim::SimTime arrival = r.time;
+      node(stale.previous)
+          .stall_then(config_.routing.forward_demand,
+                      [this, fs, demand, arrival, index] {
+                        sched_.schedule_in(
+                            config_.routing.forward_hop,
+                            [this, fs, demand, arrival, index] {
+                              --in_transit_;
+                              deliver(fs, demand, arrival, index);
+                            });
+                      });
     }
   }
   if (!forwarded) deliver(r.file_set, r.demand, r.time, index);
@@ -189,9 +195,9 @@ void ClusterSim::deliver(FileSetId fs, double demand,
                          std::size_t op_index) {
   // Requests for a file set in flight between servers are held and
   // replayed when the move completes.
-  const auto it = unavailable_until_.find(fs);
-  if (it != unavailable_until_.end() && sched_.now() < it->second) {
-    held_[fs].push_back(HeldRequest{original_arrival, demand, op_index});
+  if (sched_.now() < unavailable_until_[fs.value]) {
+    held_[fs.value].push_back(
+        HeldRequest{original_arrival, demand, op_index});
     ++held_count_;
   } else {
     route(fs, demand, original_arrival, op_index);
@@ -229,15 +235,12 @@ void ClusterSim::route(FileSetId fs, double demand,
 }
 
 void ClusterSim::drain_held(FileSetId fs) {
-  const auto until = unavailable_until_.find(fs);
-  if (until != unavailable_until_.end()) {
-    if (sched_.now() < until->second) return;  // a later move superseded
-    unavailable_until_.erase(until);
-  }
-  const auto it = held_.find(fs);
-  if (it == held_.end()) return;
-  std::vector<HeldRequest> pending = std::move(it->second);
-  held_.erase(it);
+  // A later move superseded this one; its own drain replays the set.
+  if (sched_.now() < unavailable_until_[fs.value]) return;
+  std::vector<HeldRequest>& held = held_[fs.value];
+  if (held.empty()) return;
+  const std::vector<HeldRequest> pending = std::move(held);
+  held.clear();  // a moved-from vector is valid but unspecified
   held_count_ -= pending.size();
   for (const HeldRequest& h : pending) {
     route(fs, h.demand, h.time, h.op_index);
@@ -254,7 +257,7 @@ void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
     const sim::SimTime until =
         sched_.now() + config_.routing.distribution_delay;
     for (const policy::Move& m : moves) {
-      stale_[m.file_set] = {m.from, until};
+      stale_[m.file_set.value] = StaleRoute{m.from, until};
     }
   }
   if (!movement_.config().enabled) {
@@ -320,7 +323,7 @@ void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
     if (node(m.to).alive()) node(m.to).stall(acquire_stall);
     const sim::SimTime ready = sched_.now() + transit;
     last_ready = std::max(last_ready, ready);
-    auto& until = unavailable_until_[m.file_set];
+    sim::SimTime& until = unavailable_until_[m.file_set.value];
     until = std::max(until, ready);
     sched_.schedule_at(ready,
                        [this, fs = m.file_set] { drain_held(fs); });
@@ -458,8 +461,6 @@ RunResult ClusterSim::run() {
   // Close the conservation ledger: every request the workload issued is
   // completed, lost, queued, held behind a move, or mid-forward. The
   // fault property tests assert this sum for every random plan.
-  // held_count_ is maintained incrementally (deliver/drain_held) so no
-  // unordered container is ever iterated on a RunResult-feeding path.
   result_.held_at_end += held_count_;
   result_.in_transit_at_end = in_transit_;
   result_.mean_latency = result_.completed == 0

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/movement.h"
@@ -217,6 +216,12 @@ class ClusterSim {
     double demand;
     std::size_t op_index;  // aligned with the workload (backing mode)
   };
+  // Client routing for a recently moved set: until `until`, requests
+  // still go to `previous` (RoutingConfig).
+  struct StaleRoute {
+    ServerId previous;
+    sim::SimTime until = 0.0;
+  };
 
   void arrive(std::size_t index);
   /// Deliver to the correct owner, holding while the set is in transit.
@@ -244,16 +249,22 @@ class ClusterSim {
   // an ordered-map walk. Index order == id order, so iteration remains
   // deterministic; a null slot is an id never commissioned.
   std::vector<std::unique_ptr<ServerNode>> nodes_;
-  // Movement-in-progress bookkeeping.
-  std::unordered_map<FileSetId, sim::SimTime> unavailable_until_;
-  std::unordered_map<FileSetId, std::vector<HeldRequest>> held_;
-  // Requests currently held across all file sets. Maintained
-  // incrementally so the end-of-run conservation ledger never iterates
-  // the unordered map (D1: RunResult is fed only by deterministic
-  // walks and order-independent counters).
+  // Per-file-set state, dense by FileSetId.value like the policies'
+  // owner table (the constructor checks that workload ids are dense):
+  // every request reads these with one indexed load, no hashing.
+  //
+  // Movement in progress: when the set's latest move lands. Any time at
+  // or before now (0.0 initially) means the set is available.
+  std::vector<sim::SimTime> unavailable_until_;
+  // Requests held while the set is in transit, replayed by drain_held.
+  std::vector<std::vector<HeldRequest>> held_;
+  // Requests currently held across all file sets, maintained
+  // incrementally (deliver/drain_held) so the end-of-run conservation
+  // ledger is one read, not a walk over every set's queue.
   std::size_t held_count_ = 0;
-  // Routing staleness: file set -> (previous owner, stale until).
-  std::unordered_map<FileSetId, std::pair<ServerId, sim::SimTime>> stale_;
+  // Routing staleness per set; allocated only when
+  // RoutingConfig::model_staleness is set (empty otherwise).
+  std::vector<StaleRoute> stale_;
   // Failure detection: crash time of silently-dead servers, pending
   // declaration by the detector sweep.
   std::map<ServerId, sim::SimTime> undetected_;

@@ -16,8 +16,9 @@
 //    owner carry inflated service demand, decaying linearly back to 1x.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
@@ -51,7 +52,8 @@ struct MovementConfig {
 };
 
 /// Samples per-move costs and tracks per-file-set cache temperature.
-/// Deterministic in the seed.
+/// Deterministic in the seed. Cache temperature is a dense table indexed
+/// by FileSetId.value (workload ids are dense), read on every request.
 class MovementModel {
  public:
   MovementModel(MovementConfig config, std::uint64_t seed)
@@ -76,28 +78,33 @@ class MovementModel {
            (config_.init_max - config_.init_min) * rng_.next_double();
   }
 
-  /// Mark a file set as freshly moved: its cache is cold.
+  /// Mark a file set as freshly moved: its cache is cold. Moving a set
+  /// that is still warming up restarts its warm-up.
   void on_move(FileSetId fs) {
     if (config_.cold_requests > 0 && config_.cold_factor > 1.0) {
-      cold_remaining_[fs] = config_.cold_requests;
+      const std::size_t idx = fs.value;
+      if (idx >= cold_remaining_.size()) cold_remaining_.resize(idx + 1, 0);
+      if (cold_remaining_[idx] == 0) ++cold_sets_;
+      cold_remaining_[idx] = config_.cold_requests;
     }
   }
 
   /// Demand multiplier for the next request of `fs`, consuming one step
   /// of warm-up. 1.0 once warm. Linear decay from cold_factor to 1.
   [[nodiscard]] double demand_multiplier(FileSetId fs) {
-    const auto it = cold_remaining_.find(fs);
-    if (it == cold_remaining_.end()) return 1.0;
-    const std::uint32_t remaining = it->second;
+    const std::size_t idx = fs.value;
+    if (idx >= cold_remaining_.size() || cold_remaining_[idx] == 0) {
+      return 1.0;
+    }
+    std::uint32_t& remaining = cold_remaining_[idx];
     const double frac = static_cast<double>(remaining) /
                         static_cast<double>(config_.cold_requests);
-    if (--it->second == 0) cold_remaining_.erase(it);
+    if (--remaining == 0) --cold_sets_;
     return 1.0 + (config_.cold_factor - 1.0) * frac;
   }
 
-  [[nodiscard]] std::size_t cold_sets() const noexcept {
-    return cold_remaining_.size();
-  }
+  /// File sets still warming up.
+  [[nodiscard]] std::size_t cold_sets() const noexcept { return cold_sets_; }
 
   // ---- fault injection (flaky transfers) --------------------------------
 
@@ -133,7 +140,11 @@ class MovementModel {
  private:
   MovementConfig config_;
   sim::Xoshiro256 rng_;
-  std::unordered_map<FileSetId, std::uint32_t> cold_remaining_;
+  // Requests left until warm, dense by FileSetId.value; 0 means warm.
+  // Grown on the first move of a higher id, so a set never moved may lie
+  // past the end (and is warm). cold_sets_ counts the nonzero slots.
+  std::vector<std::uint32_t> cold_remaining_;
+  std::size_t cold_sets_ = 0;
   MoveFaultSpec fault_;
   bool fault_active_ = false;
 };

@@ -44,16 +44,20 @@ void FifoServer::maybe_start() {
     job.demand_fn = nullptr;
     backlog_ += job.demand;
   }
-  const SimTime start = sched_.now();
+  service_start_ = sched_.now();
   const SimDuration service =
       job.is_stall ? job.demand : job.demand / speed_;
   busy_time_ += service;
   const std::uint64_t epoch = epoch_;
-  sched_.schedule_in(service, [this, start, epoch] { finish(start, epoch); });
+  // Two words of capture: std::function stores it inline, so starting a
+  // service allocates nothing.
+  sched_.schedule_in(service, [this, epoch] { finish(epoch); });
 }
 
-void FifoServer::finish(SimTime start, std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // job was lost to a reset() crash
+void FifoServer::finish(std::uint64_t epoch) {
+  // First, before any member is read: a stale completion (the job was
+  // lost to a reset() crash) must not see a later job's service_start_.
+  if (epoch != epoch_) return;
   ANUFS_ENSURES(in_service_ && !queue_.empty());
   Job job = std::move(queue_.front());
   queue_.pop_front();
@@ -64,7 +68,7 @@ void FifoServer::finish(SimTime start, std::uint64_t epoch) {
     backlog_ -= job.demand;
     ++completed_;
     if (job.on_complete) {
-      job.on_complete(JobCompletion{job.arrival, start, sched_.now(),
+      job.on_complete(JobCompletion{job.arrival, service_start_, sched_.now(),
                                     job.demand, job.tag});
     }
   }

@@ -109,13 +109,17 @@ class FifoServer {
   };
 
   void maybe_start();
-  void finish(SimTime start, std::uint64_t epoch);
+  void finish(std::uint64_t epoch);
 
   Scheduler& sched_;
   double speed_;
   std::deque<Job> queue_;
   std::uint64_t epoch_ = 0;  // bumped by reset(); stale completions no-op
   bool in_service_ = false;
+  // When the job in service started: one channel, so one start time. Kept
+  // here rather than in the completion closure so that closure fits
+  // std::function's inline buffer.
+  SimTime service_start_ = kTimeZero;
   SimDuration busy_time_ = 0.0;
   std::uint64_t completed_ = 0;
   double backlog_ = 0.0;

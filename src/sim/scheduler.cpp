@@ -28,9 +28,62 @@ EventId Scheduler::schedule_at(SimTime at, Handler fn) {
   // anufs-lint: safe(H1) amortized: reserve() pre-sizes to peak pending,
   // steady state stays within capacity.
   heap_.push_back(Entry{at, seq, slot, node.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  sift_up(heap_.size() - 1, 0);
   stats_.peak_pending = std::max(stats_.peak_pending, pending());
   return EventId{make_id(slot, node.gen)};
+}
+
+void Scheduler::sift_up(std::size_t i, std::size_t top) noexcept {
+  Entry* const h = heap_.data();
+  const Entry e = h[i];
+  while (i > top) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!Later{}(h[parent], e)) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
+}
+
+void Scheduler::sift_down(std::size_t i) noexcept {
+  Entry* const h = heap_.data();
+  const std::size_t n = heap_.size();
+  const std::size_t top = i;
+  const Entry e = h[i];
+  // Bottom-up: walk the hole to a leaf, always promoting the earliest
+  // child, without comparing against `e` on the way down...
+  while (true) {
+    const std::size_t first = i * 4 + 1;
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // A full node: two independent pairings, then their winners.
+      const std::size_t a = Later{}(h[first], h[first + 1]) ? first + 1
+                                                              : first;
+      const std::size_t b = Later{}(h[first + 2], h[first + 3])
+                                ? first + 3
+                                : first + 2;
+      best = Later{}(h[a], h[b]) ? b : a;
+    } else if (first < n) {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (Later{}(h[best], h[c])) best = c;
+      }
+    } else {
+      break;
+    }
+    h[i] = h[best];
+    i = best;
+  }
+  // ...then let `e` rise back toward `top`. It usually came from the
+  // back of the heap (a late event), so it rarely rises far: this saves
+  // the per-level comparison against `e` a top-down walk would make.
+  h[i] = e;
+  sift_up(i, top);
+}
+
+void Scheduler::pop_top() noexcept {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
 }
 
 std::uint32_t Scheduler::grow_pool() {
@@ -67,7 +120,8 @@ void Scheduler::maybe_compact() {
   if (tombstones_ < kCompactionFloor) return;
   if (tombstones_ * 2 < heap_.size()) return;
   std::erase_if(heap_, [this](const Entry& e) { return is_tombstone(e); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  // Bottom-up rebuild: sift down every internal node, last parent first.
+  for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) sift_down(i);
   tombstones_ = 0;
   heap_.shrink_to_fit();
   ++stats_.compactions;
@@ -76,8 +130,7 @@ void Scheduler::maybe_compact() {
 bool Scheduler::skip_cancelled() {
   while (!heap_.empty()) {
     if (!is_tombstone(heap_.front())) return true;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    pop_top();
     --tombstones_;
   }
   return false;
@@ -86,8 +139,7 @@ bool Scheduler::skip_cancelled() {
 bool Scheduler::step() {
   if (!skip_cancelled()) return false;
   const Entry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  pop_top();
   ANUFS_ENSURES(top.time >= now_);
   now_ = top.time;
   Node& node = nodes_[top.slot];

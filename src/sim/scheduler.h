@@ -172,6 +172,14 @@ class Scheduler {
     return nodes_[e.slot].gen != e.gen;
   }
 
+  // 4-ary heap primitives over heap_, earliest entry at index 0 (the
+  // children of i are 4i+1 .. 4i+4). sift_up moves the entry at `i` up,
+  // but not above `top`, to restore order after an append; sift_down
+  // restores it after the entry at `i` was replaced; pop_top removes
+  // heap_[0].
+  ANUFS_HOT void sift_up(std::size_t i, std::size_t top) noexcept;
+  ANUFS_HOT void sift_down(std::size_t i) noexcept;
+  ANUFS_HOT void pop_top() noexcept;
   // Pops cancelled entries off the heap top; returns false if drained.
   ANUFS_HOT bool skip_cancelled();
   // Purges tombstones from the whole heap once they dominate it. (time,
@@ -186,8 +194,11 @@ class Scheduler {
   SimTime now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
-  // Binary heap managed with std::push_heap/pop_heap (rather than
-  // std::priority_queue) so maybe_compact() can rebuild it in place.
+  // 4-ary min-heap in Later order, managed by sift_up/sift_down (rather
+  // than std::priority_queue) so maybe_compact() can rebuild it in place.
+  // At simulator depths (tens of thousands pending) the wider fan-out
+  // halves the levels a pop walks, and a node's four children are
+  // contiguous, so the extra comparisons cost few extra cache misses.
   std::vector<Entry> heap_;
   // Slot pool: handlers stored out of the heap so Entry stays trivially
   // copyable, recycled through free_slots_ so steady state allocates

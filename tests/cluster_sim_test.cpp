@@ -222,6 +222,105 @@ TEST(ClusterSim, LatencySampleRecordingOptIn) {
   EXPECT_EQ(total, with.completed);
 }
 
+// Scripted policy for the superseded-move path: file set 0 starts on
+// server 0, the first rebalance moves it to server 1, and a commissioned
+// server takes it over. Nothing else ever moves.
+class TwoMovePolicy final : public policy::PlacementPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "two-move"; }
+  void initialize(const std::vector<workload::FileSetSpec>& file_sets,
+                  const std::vector<ServerId>& servers) override {
+    owners_.assign(file_sets.size(), ServerId{0});
+    servers_ = servers;
+  }
+  [[nodiscard]] ServerId owner(FileSetId fs) const override {
+    return owners_.at(fs.value);
+  }
+  std::vector<policy::Move> rebalance(
+      sim::SimTime, const std::vector<core::ServerReport>&) override {
+    if (rebalanced_) return {};
+    rebalanced_ = true;
+    return move_set_zero(ServerId{1});
+  }
+  std::vector<policy::Move> on_server_failed(ServerId) override {
+    return {};
+  }
+  std::vector<policy::Move> on_server_added(ServerId id) override {
+    servers_.push_back(id);
+    return move_set_zero(id);
+  }
+  [[nodiscard]] std::vector<ServerId> servers() const override {
+    return servers_;
+  }
+
+ private:
+  std::vector<policy::Move> move_set_zero(ServerId to) {
+    const policy::Move m{FileSetId{0}, owners_[0], to};
+    owners_[0] = to;
+    return {m};
+  }
+
+  std::vector<ServerId> owners_;
+  std::vector<ServerId> servers_;
+  bool rebalanced_ = false;
+};
+
+// File set 0 moves at t=10 (ready at 15: flush 3 + init 2), then again
+// at t=12 when server 3 joins (ready at 17). Requests at t=11 and t=16
+// arrive while it is in transit; t=16 lies after the first ready time,
+// which the second move superseded.
+RunResult run_superseded_move(sim::SimTime duration) {
+  workload::Workload work;
+  work.file_sets.push_back(workload::FileSetSpec::make(0, "/fs0", 1.0));
+  for (const double t : {1.0, 11.0, 16.0}) {
+    work.requests.push_back(workload::RequestEvent{t, FileSetId{0}, 0.5});
+  }
+  work.duration = duration;
+  ClusterConfig cc;
+  cc.server_speeds = {1, 1, 1};
+  cc.reconfig_period = 10.0;
+  cc.movement.flush_min = cc.movement.flush_max = 3.0;
+  cc.movement.init_min = cc.movement.init_max = 2.0;
+  cc.movement.cold_factor = 1.0;  // no warm-up: latencies are exact
+  cc.record_latency_samples = true;
+  TwoMovePolicy policy;
+  ClusterSim sim(cc, work, policy);
+  sim.schedule_addition(12.0, ServerId{3}, /*speed=*/1.0);
+  return sim.run();
+}
+
+void expect_ledger_balances(const RunResult& r) {
+  EXPECT_EQ(r.total_requests, r.completed + r.lost + r.queued_at_end +
+                                  r.held_at_end + r.in_transit_at_end);
+}
+
+TEST(ClusterSim, SupersededMoveHoldsRequestsUntilTheLaterReadyTime) {
+  const RunResult result = run_superseded_move(/*duration=*/30.0);
+  EXPECT_EQ(result.moves, 2u);
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(result.held_at_end, 0u);
+  expect_ledger_balances(result);
+  // Both held requests are served by the second owner, in arrival
+  // order, starting at t=17 — not at the superseded ready time 15.
+  EXPECT_EQ(result.server_completed.at(1), 0u);
+  ASSERT_EQ(result.server_completed.at(3), 2u);
+  const std::vector<double>& lat = result.latency_samples.at(3);
+  ASSERT_EQ(lat.size(), 2u);
+  EXPECT_NEAR(lat[0], 17.5 - 11.0, 1e-9);  // waited 6 s, served 0.5 s
+  EXPECT_NEAR(lat[1], 18.0 - 16.0, 1e-9);  // queued behind the first
+  EXPECT_GE(11.0 + lat[0] - 0.5, 17.0);    // service began after t=17
+}
+
+TEST(ClusterSim, SupersededMoveLedgerBalancesMidTransit) {
+  // The horizon falls between the two ready times: both requests are
+  // still held at the end, and the ledger accounts for them.
+  const RunResult result = run_superseded_move(/*duration=*/16.5);
+  EXPECT_EQ(result.moves, 2u);
+  EXPECT_EQ(result.completed, 1u);
+  EXPECT_EQ(result.held_at_end, 2u);
+  expect_ledger_balances(result);
+}
+
 TEST(ClusterSimDeathTest, RunTwiceAborts) {
   const workload::Workload work = small_workload();
   policy::RoundRobinPolicy policy;

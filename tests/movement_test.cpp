@@ -85,5 +85,45 @@ TEST(MovementModel, ZeroColdRequestsDisablesTracking) {
   EXPECT_EQ(model.cold_sets(), 0u);
 }
 
+TEST(MovementModel, MovingAColdSetAgainRestartsItsWarmup) {
+  MovementConfig config;
+  config.cold_factor = 3.0;
+  config.cold_requests = 4;
+  MovementModel model(config, 1);
+  model.on_move(FileSetId{2});
+  (void)model.demand_multiplier(FileSetId{2});
+  (void)model.demand_multiplier(FileSetId{2});
+  model.on_move(FileSetId{2});  // still cold: counted once, not twice
+  EXPECT_EQ(model.cold_sets(), 1u);
+  EXPECT_DOUBLE_EQ(model.demand_multiplier(FileSetId{2}), 3.0);
+  EXPECT_DOUBLE_EQ(model.demand_multiplier(FileSetId{2}), 2.5);
+}
+
+TEST(MovementModel, IdAboveEveryMovedIdIsWarm) {
+  MovementModel model(MovementConfig{}, 1);
+  model.on_move(FileSetId{1});
+  model.on_move(FileSetId{4});
+  EXPECT_EQ(model.cold_sets(), 2u);
+  EXPECT_DOUBLE_EQ(model.demand_multiplier(FileSetId{5}), 1.0);
+  EXPECT_DOUBLE_EQ(model.demand_multiplier(FileSetId{1000000}), 1.0);
+  EXPECT_EQ(model.cold_sets(), 2u);
+}
+
+TEST(MovementModel, ColdSetCountReturnsToZeroOnceAllWarm) {
+  MovementConfig config;
+  config.cold_requests = 3;
+  MovementModel model(config, 1);
+  for (std::uint32_t fs = 0; fs < 5; ++fs) model.on_move(FileSetId{fs});
+  EXPECT_EQ(model.cold_sets(), 5u);
+  for (int request = 0; request < 3; ++request) {
+    for (std::uint32_t fs = 0; fs < 5; ++fs) {
+      EXPECT_GT(model.demand_multiplier(FileSetId{fs}), 1.0);
+    }
+  }
+  EXPECT_EQ(model.cold_sets(), 0u);
+  EXPECT_DOUBLE_EQ(model.demand_multiplier(FileSetId{3}), 1.0);
+  EXPECT_EQ(model.cold_sets(), 0u);
+}
+
 }  // namespace
 }  // namespace anufs::cluster

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace anufs::sim {
@@ -399,6 +403,150 @@ TEST(Scheduler, ManyEventsDeterministicOrder) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Oracle for the calendar's firing order: a seeded random mix of every
+// public operation, checked event by event against a std::set of
+// (time, seq) — the order the scheduler promises. The calendar grows
+// past 4, 16, 64 and 4096 pending (the first levels of a 4-ary heap and
+// a deep one), many events share an instant, and a cancel storm forces
+// compaction.
+class OrderOracle {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  // Moves the calendar toward `target` pending events with a random mix
+  // of operations biased in that direction.
+  void drive_to(std::size_t target) {
+    if (sched_.pending() < target) {
+      while (sched_.pending() < target) grow_op();
+    } else {
+      while (sched_.pending() > target) shrink_op();
+    }
+  }
+
+  // Cancels live events until at most `target` remain.
+  void cancel_storm(std::size_t target) {
+    while (sched_.pending() > target) {
+      prune_scheduled();
+      cancel_random();
+    }
+  }
+
+  void drain() {
+    sched_.run();
+    check(expected_.empty());
+  }
+
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+  [[nodiscard]] const Scheduler& sched() const { return sched_; }
+
+ private:
+  void grow_op() {
+    const std::uint64_t r = rng_() % 20;
+    if (r < 12) {
+      schedule(r % 2 == 0);
+    } else if (r < 15) {
+      cancel_random();
+    } else {
+      step();
+    }
+    check(sched_.pending() == expected_.size());
+  }
+
+  void shrink_op() {
+    const std::uint64_t r = rng_() % 20;
+    if (r < 2) {
+      schedule(r % 2 == 0);
+    } else if (r < 8) {
+      cancel_random();
+    } else if (r < 17) {
+      step();
+    } else {
+      run_until(0.25 * static_cast<double>(rng_() % 3));
+    }
+    check(sched_.pending() == expected_.size());
+  }
+
+  // Delays on a quarter-second grid, half of them within two seconds, so
+  // many events land on the same instant.
+  SimDuration random_delay() {
+    const std::uint64_t spread = rng_() % 2 == 0 ? 8 : 64;
+    return 0.25 * static_cast<double>(rng_() % spread);
+  }
+
+  void schedule(bool absolute) {
+    const SimDuration delay = random_delay();
+    const Key key{sched_.now() + delay, next_seq_++};
+    auto handler = [this, key] { fire(key); };
+    const EventId id = absolute ? sched_.schedule_at(key.first, handler)
+                                : sched_.schedule_in(delay, handler);
+    expected_.insert(key);
+    scheduled_.emplace_back(id, key);
+  }
+
+  void fire(const Key& key) {
+    check(!expected_.empty() && *expected_.begin() == key);
+    check(sched_.now() == key.first);
+    expected_.erase(key);
+    // Some handlers schedule follow-ups, some at the current instant.
+    if (rng_() % 4 == 0) schedule(rng_() % 2 == 0);
+  }
+
+  void cancel_random() {
+    if (scheduled_.empty()) return;
+    const auto& [id, key] = scheduled_[rng_() % scheduled_.size()];
+    check(sched_.cancel(id) == expected_.contains(key));
+    expected_.erase(key);
+  }
+
+  void step() {
+    const bool had_events = !expected_.empty();
+    check(sched_.step() == had_events);
+  }
+
+  void run_until(SimDuration reach) {
+    const SimTime horizon = sched_.now() + reach;
+    sched_.run_until(horizon);
+    check(sched_.now() == horizon);
+    check(expected_.empty() || expected_.begin()->first > horizon);
+  }
+
+  // Keeps cancel targets mostly live once the calendar is large.
+  void prune_scheduled() {
+    if (scheduled_.size() <= 2 * expected_.size() + 64) return;
+    std::erase_if(scheduled_, [this](const std::pair<EventId, Key>& e) {
+      return !expected_.contains(e.second);
+    });
+  }
+
+  void check(bool ok) {
+    if (!ok) ++mismatches_;
+  }
+
+  Scheduler sched_;
+  std::set<Key> expected_;
+  std::vector<std::pair<EventId, Key>> scheduled_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::mt19937_64 rng_{20030415};
+};
+
+TEST(Scheduler, FiringOrderMatchesOrderedSetOracle) {
+  OrderOracle oracle;
+  for (const std::size_t target : {5u, 3u, 17u, 15u, 65u, 63u, 4097u}) {
+    oracle.drive_to(target);
+  }
+  oracle.cancel_storm(1000);
+  for (const std::size_t target : {4097u, 300u, 70u, 20u, 3u, 0u}) {
+    oracle.drive_to(target);
+  }
+  oracle.drain();
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  const Scheduler::Stats stats = oracle.sched().stats();
+  EXPECT_GE(stats.peak_pending, 4097u);
+  EXPECT_GE(stats.compactions, 1u);
+  EXPECT_GT(stats.cancelled, 3000u);
 }
 
 }  // namespace
