@@ -18,6 +18,7 @@
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
 #include "serve/snapshot.h"
+#include "sim/queueing.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
 #include "workload/spec.h"
@@ -239,6 +240,29 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.counters["pool_recycled"] = static_cast<double>(stats.pool_recycled);
 }
 BENCHMARK(BM_SchedulerThroughput)->Arg(64)->Arg(4096)->Arg(65536);
+
+// Argument: jobs at the server, counting the one in service. The sink
+// submits a fresh job for every one that completes, so the depth holds
+// and each step is one submit -> start -> complete cycle through a real
+// Scheduler: the per-request cost of a simulated metadata server.
+void BM_FifoServerThroughput(benchmark::State& state) {
+  struct ClosedLoop {
+    sim::Scheduler sched;
+    sim::FifoServer server{sched, 2.0, [this](const sim::JobCompletion& c) {
+                             server.submit(1.0, c.tag + 1);
+                           }};
+  };
+  ClosedLoop loop;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    loop.server.submit(1.0, static_cast<std::uint64_t>(i));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.sched.step());
+  }
+  benchmark::DoNotOptimize(loop.server.completed());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FifoServerThroughput)->Arg(1)->Arg(16)->Arg(256);
 
 // Steady-state retune: the same report set against an unmoved map,
 // round after round — the common case of a converged cluster. With

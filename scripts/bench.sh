@@ -4,7 +4,7 @@
 #
 #   * the core microbenchmarks (google-benchmark JSON, bench/micro_core):
 #     hash probe, cache-miss / cached / uncached locate, retune,
-#     scheduler throughput
+#     scheduler and FIFO-server throughput
 #   * an end-to-end multi-seed sweep (tools/anufs_sim --sweep) wall clock
 #   * optionally, the same sweep on a pre-change binary for a recorded
 #     before/after speedup (--baseline-bin)
@@ -48,11 +48,20 @@
 # servers, membership churn, 30 seeds, --jobs 1) so successive snapshots
 # are comparable; the engine's events/sec line printed by anufs_sim is
 # captured as a cross-check. Numbers are machine-dependent: compare
-# trajectories recorded on the same machine.
+# trajectories recorded on the same machine. Every mode, merges
+# included, rewrites `commit` and `host` ({uname, cores, isa}), so the
+# file always names the one host its newest numbers came from.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
+
+# The recording host, spelled like anufs_e2e's "# host" line.
+ISA=no-avx512f
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then ISA=avx512f; fi
+HOST_JSON="$(jq -cn --arg uname "$(uname -sr)" \
+  --argjson cores "$(nproc 2>/dev/null || echo 1)" --arg isa "$ISA" \
+  '{uname: $uname, cores: $cores, isa: $isa}')"
 
 OUT="$ROOT/BENCH_core.json"
 BASELINE_BIN=""
@@ -126,10 +135,12 @@ if [ "$CONTROL_ONLY" -eq 1 ]; then
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --argjson host "$HOST_JSON" \
     "$JQ_BENCH"'
     $base * {
       recorded_at: $date,
       commit: $commit,
+      host: $host,
       micro: (($base.micro // {}) + $bench),
       control_plane: $control
     }' >"$TMP"
@@ -198,6 +209,7 @@ if [ "$BATCH_ONLY" -eq 1 ]; then
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --argjson host "$HOST_JSON" \
     "$JQ_BATCH"'
     ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
                                            cpu_ns: .cpu_time,
@@ -209,6 +221,7 @@ if [ "$BATCH_ONLY" -eq 1 ]; then
     ($base * {
       recorded_at: $date,
       commit: $commit,
+      host: $host,
       batch: $batch,
       derived: {locate_cached_speedup_64: $cached_speedup}
     }) | .micro = ($kept + $bench)' >"$TMP"
@@ -273,10 +286,12 @@ if [ "$POLICIES_ONLY" -eq 1 ]; then
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --argjson host "$HOST_JSON" \
     "$JQ_POLICIES"'
     $base * {
       recorded_at: $date,
       commit: $commit,
+      host: $host,
       micro: (($base.micro // {}) + $bench),
       policies: $policies
     }' >"$TMP"
@@ -347,7 +362,7 @@ jq -n \
   --slurpfile micro "$MICRO_JSON" \
   --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
   --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-  --arg host "$(uname -sr)" \
+  --argjson host "$HOST_JSON" \
   --arg sweep "$SWEEP" \
   --arg sweep_engine "$SWEEP_ENGINE" \
   --arg baseline_engine "$BASELINE_ENGINE" \
@@ -364,7 +379,10 @@ jq -n \
       locate_cached_speedup_64: $cached_speedup,
       # The deepest calendar: sim-scale runs with ~42k events pending.
       scheduler_events_per_sec: (
-        1e9 / $bench["BM_SchedulerThroughput/65536"].time_ns)
+        1e9 / $bench["BM_SchedulerThroughput/65536"].time_ns),
+      # Submit -> complete cycles with 16 jobs at the server.
+      fifo_jobs_per_sec: (
+        1e9 / $bench["BM_FifoServerThroughput/16"].time_ns)
     },
     control_plane: $control,
     batch: $batch,

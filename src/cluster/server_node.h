@@ -20,7 +20,14 @@ class ServerNode {
       std::function<void(FileSetId, const sim::JobCompletion&)>;
 
   ServerNode(sim::Scheduler& sched, ServerId id, double speed)
-      : id_(id), base_speed_(speed), fifo_(sched, speed) {}
+      : id_(id),
+        base_speed_(speed),
+        fifo_(sched, speed,
+              [this](const sim::JobCompletion& c) { on_complete(c); }) {}
+
+  // The FIFO's completion sink holds `this`.
+  ServerNode(const ServerNode&) = delete;
+  ServerNode& operator=(const ServerNode&) = delete;
 
   [[nodiscard]] ServerId id() const noexcept { return id_; }
   [[nodiscard]] double speed() const noexcept { return fifo_.speed(); }
@@ -54,14 +61,7 @@ class ServerNode {
               std::optional<sim::SimTime> arrival = std::nullopt) {
     ANUFS_EXPECTS(alive_);
     ++submitted_;
-    fifo_.submit(demand, fs.value, [this, fs](const sim::JobCompletion& c) {
-      const sim::SimDuration lat = c.latency();
-      interval_.record(lat);
-      ++completed_;
-      latency_sum_ += lat;
-      if (record_samples_) samples_.push_back(lat);
-      if (hook_) hook_(fs, c);
-    }, arrival);
+    fifo_.submit(demand, fs.value, arrival);
   }
 
   /// CPU stall (flush/init work during file-set movement).
@@ -76,17 +76,7 @@ class ServerNode {
                        std::optional<sim::SimTime> arrival = std::nullopt) {
     ANUFS_EXPECTS(alive_);
     ++submitted_;
-    fifo_.submit_deferred(
-        std::move(demand_fn), fs.value,
-        [this, fs](const sim::JobCompletion& c) {
-          const sim::SimDuration lat = c.latency();
-          interval_.record(lat);
-          ++completed_;
-          latency_sum_ += lat;
-          if (record_samples_) samples_.push_back(lat);
-          if (hook_) hook_(fs, c);
-        },
-        arrival);
+    fifo_.submit_deferred(std::move(demand_fn), fs.value, arrival);
   }
 
   /// FIFO-ordered stall with a completion callback — used for request
@@ -123,9 +113,6 @@ class ServerNode {
   [[nodiscard]] sim::SimDuration busy_time() const noexcept {
     return fifo_.busy_time();
   }
-  [[nodiscard]] std::size_t queue_length() const noexcept {
-    return fifo_.queue_length();
-  }
 
   /// Requests accepted but neither completed nor lost to a crash —
   /// queued or in service right now. Part of the simulator's
@@ -135,6 +122,16 @@ class ServerNode {
   }
 
  private:
+  // The FIFO's one completion sink: the tag is the request's file set.
+  void on_complete(const sim::JobCompletion& c) {
+    const sim::SimDuration lat = c.latency();
+    interval_.record(lat);
+    ++completed_;
+    latency_sum_ += lat;
+    if (record_samples_) samples_.push_back(lat);
+    if (hook_) hook_(FileSetId{static_cast<std::uint32_t>(c.tag)}, c);
+  }
+
   ServerId id_;
   double base_speed_;
   sim::FifoServer fifo_;

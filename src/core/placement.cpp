@@ -1,10 +1,14 @@
 #include "core/placement.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace anufs::core {
 
 namespace {
+
+// Set only by testing::force_portable_locate.
+std::atomic<bool> g_force_portable{false};
 
 // The owner table leaves L1 once the partition count clears ~4096
 // (32 KiB of fills + 16 KiB of owners). Below that every probe is an
@@ -16,6 +20,10 @@ namespace {
 }
 
 }  // namespace
+
+void testing::force_portable_locate(bool on) noexcept {
+  g_force_portable.store(on, std::memory_order_relaxed);
+}
 
 // Probe-round core shared by the scalar and batched paths. Lane state is
 // kept as parallel stack arrays (fingerprint, original index, probe
@@ -40,7 +48,7 @@ void PlacementMap::locate_chunk(const RegionMap::OwnerTable& table,
   static const bool use_x8 = __builtin_cpu_supports("avx512f") &&
                              __builtin_cpu_supports("avx512dq") &&
                              __builtin_cpu_supports("avx512vl");
-  if (use_x8 && n >= 8) {
+  if (use_x8 && n >= 8 && !g_force_portable.load(std::memory_order_relaxed)) {
     locate_chunk_x8(table, alive, fps, n, out);
     return;
   }

@@ -117,4 +117,13 @@ class PlacementMap {
   RegionMap regions_;
 };
 
+namespace testing {
+
+/// Test-only: when `on`, every batched locate runs the portable
+/// multi-lane loop even on hosts with the AVX-512 kernel, so its
+/// properties are tested there too. Results are identical either way.
+void force_portable_locate(bool on) noexcept;
+
+}  // namespace testing
+
 }  // namespace anufs::core

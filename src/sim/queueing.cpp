@@ -5,48 +5,53 @@
 namespace anufs::sim {
 
 void FifoServer::submit(double demand, std::uint64_t tag,
-                        CompletionFn on_complete,
                         std::optional<SimTime> arrival) {
   ANUFS_EXPECTS(demand > 0.0);
   const SimTime when = arrival.value_or(sched_.now());
   ANUFS_EXPECTS(when <= sched_.now());
-  queue_.push_back(Job{/*is_stall=*/false, demand, when, tag,
-                       std::move(on_complete), {}, {}});
-  backlog_ += demand;
+  jobs_.push_back(Job{demand, when, tag, Kind::kRequest});
   maybe_start();
 }
 
 void FifoServer::submit_deferred(DemandFn demand_fn, std::uint64_t tag,
-                                 CompletionFn on_complete,
                                  std::optional<SimTime> arrival) {
   ANUFS_EXPECTS(demand_fn != nullptr);
   const SimTime when = arrival.value_or(sched_.now());
   ANUFS_EXPECTS(when <= sched_.now());
-  queue_.push_back(Job{/*is_stall=*/false, 0.0, when, tag,
-                       std::move(on_complete), {}, std::move(demand_fn)});
+  demand_fns_.push_back(std::move(demand_fn));
+  jobs_.push_back(Job{0.0, when, tag, Kind::kDeferred});
   maybe_start();
 }
 
 void FifoServer::occupy(SimDuration duration, DoneFn done) {
   ANUFS_EXPECTS(duration >= 0.0);
-  queue_.push_back(Job{/*is_stall=*/true, duration, sched_.now(), 0, {},
-                       std::move(done), {}});
+  Kind kind = Kind::kStall;
+  if (done) {
+    stall_dones_.push_back(std::move(done));
+    kind = Kind::kStallDone;
+  }
+  jobs_.push_back(Job{duration, sched_.now(), 0, kind});
   maybe_start();
 }
 
 void FifoServer::maybe_start() {
-  if (in_service_ || queue_.empty()) return;
+  if (in_service_ || jobs_.empty()) return;
   in_service_ = true;
-  Job& job = queue_.front();
-  if (job.demand_fn) {
-    job.demand = job.demand_fn();  // executing-server mode: cost is real
-    ANUFS_EXPECTS(job.demand > 0.0);
-    job.demand_fn = nullptr;
-    backlog_ += job.demand;
+  if (jobs_.front().kind == Kind::kDeferred) {
+    // Executing-server mode: the cost is real. Pop the function before
+    // calling it and re-read the front after, so a demand function that
+    // submits to this server (growing the rings) leaves no dangling
+    // reference.
+    const DemandFn demand_fn = std::move(demand_fns_.front());
+    demand_fns_.pop_front();
+    const double demand = demand_fn();
+    ANUFS_EXPECTS(demand > 0.0);
+    jobs_.front().demand = demand;
   }
+  const Job& job = jobs_.front();
   service_start_ = sched_.now();
-  const SimDuration service =
-      job.is_stall ? job.demand : job.demand / speed_;
+  const bool stall = job.kind == Kind::kStall || job.kind == Kind::kStallDone;
+  const SimDuration service = stall ? job.demand : job.demand / speed_;
   busy_time_ += service;
   const std::uint64_t epoch = epoch_;
   // Two words of capture: std::function stores it inline, so starting a
@@ -58,30 +63,39 @@ void FifoServer::finish(std::uint64_t epoch) {
   // First, before any member is read: a stale completion (the job was
   // lost to a reset() crash) must not see a later job's service_start_.
   if (epoch != epoch_) return;
-  ANUFS_ENSURES(in_service_ && !queue_.empty());
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  ANUFS_ENSURES(in_service_ && !jobs_.empty());
+  const Job job = jobs_.front();
+  jobs_.pop_front();
   in_service_ = false;
-  if (job.is_stall) {
-    if (job.done) job.done();
-  } else {
-    backlog_ -= job.demand;
-    ++completed_;
-    if (job.on_complete) {
-      job.on_complete(JobCompletion{job.arrival, service_start_, sched_.now(),
-                                    job.demand, job.tag});
+  switch (job.kind) {
+    case Kind::kStall:
+      break;
+    case Kind::kStallDone: {
+      const DoneFn done = std::move(stall_dones_.front());
+      stall_dones_.pop_front();
+      done();
+      break;
     }
+    case Kind::kRequest:
+    case Kind::kDeferred:
+      ++completed_;
+      if (on_complete_) {
+        on_complete_(JobCompletion{job.arrival, service_start_, sched_.now(),
+                                   job.demand, job.tag});
+      }
+      break;
   }
   maybe_start();
 }
 
 std::size_t FifoServer::reset() {
   std::size_t lost = 0;
-  for (const Job& job : queue_) {
-    if (!job.is_stall) ++lost;
+  for (; !jobs_.empty(); jobs_.pop_front()) {
+    const Kind kind = jobs_.front().kind;
+    if (kind == Kind::kRequest || kind == Kind::kDeferred) ++lost;
   }
-  queue_.clear();
-  backlog_ = 0.0;
+  demand_fns_.clear();
+  stall_dones_.clear();
   in_service_ = false;
   ++epoch_;  // orphan the pending completion event, if any
   return lost;

@@ -15,6 +15,7 @@ EventId Scheduler::schedule_at(SimTime at, Handler fn) {
   ANUFS_EXPECTS(at >= now_);
   ANUFS_EXPECTS(fn != nullptr);
   const std::uint64_t seq = next_seq_++;
+  ANUFS_EXPECTS(seq < kMaxSeq);
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -23,14 +24,16 @@ EventId Scheduler::schedule_at(SimTime at, Handler fn) {
   } else {
     slot = grow_pool();
   }
+  const std::uint64_t key = (seq << kSlotBits) | slot;
   Node& node = nodes_[slot];
   node.fn = std::move(fn);
+  node.key = key;
   // anufs-lint: safe(H1) amortized: reserve() pre-sizes to peak pending,
   // steady state stays within capacity.
-  heap_.push_back(Entry{at, seq, slot, node.gen});
+  heap_.push_back(Entry{at, key});
   sift_up(heap_.size() - 1, 0);
   stats_.peak_pending = std::max(stats_.peak_pending, pending());
-  return EventId{make_id(slot, node.gen)};
+  return EventId{key};
 }
 
 void Scheduler::sift_up(std::size_t i, std::size_t top) noexcept {
@@ -88,6 +91,7 @@ void Scheduler::pop_top() noexcept {
 
 std::uint32_t Scheduler::grow_pool() {
   const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  ANUFS_EXPECTS(slot <= kSlotMask);
   nodes_.emplace_back();
   ++stats_.pool_allocated;
   ANUFS_TRACE(obs::Category::kSched, "pool_grow", {"slots", nodes_.size()},
@@ -96,17 +100,16 @@ std::uint32_t Scheduler::grow_pool() {
 }
 
 bool Scheduler::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id.value & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id.value >> 32);
-  if (slot >= nodes_.size()) return false;
+  const std::uint32_t slot = slot_of(id.value);
+  if (id.value == kNoEvent || slot >= nodes_.size()) return false;
   Node& node = nodes_[slot];
-  if (node.gen != gen) return false;  // already fired or cancelled
+  if (node.key != id.value) return false;  // already fired or cancelled
   // Eager reclaim: the handler and whatever it captured die here, not
   // when the tombstone eventually surfaces (which may be never if the
-  // run stops early or the calendar is abandoned). Advancing the slot
-  // generation orphans the heap entry and immediately recycles the slot.
+  // run stops early or the calendar is abandoned). Clearing the slot's
+  // key orphans the heap entry and immediately recycles the slot.
   node.fn = nullptr;
-  ++node.gen;
+  node.key = kNoEvent;
   // anufs-lint: safe(H1) amortized: the free list never outgrows the
   // node pool, whose capacity it shares via reserve().
   free_slots_.push_back(slot);
@@ -142,17 +145,18 @@ bool Scheduler::step() {
   pop_top();
   ANUFS_ENSURES(top.time >= now_);
   now_ = top.time;
-  Node& node = nodes_[top.slot];
+  const std::uint32_t slot = slot_of(top.key);
+  Node& node = nodes_[slot];
   ANUFS_ENSURES(node.fn != nullptr);
   Handler fn = std::move(node.fn);
   node.fn = nullptr;  // moved-from state is unspecified; make it empty
-  ++node.gen;
+  node.key = kNoEvent;
   // Recycle before running: the handler may schedule into this very slot
-  // (the common steady-state pattern), reusing it with the new generation.
+  // (the common steady-state pattern), reusing it under a new key.
   // NOTE: fn() may grow nodes_, so `node` must not be touched after this.
   // anufs-lint: safe(H1) amortized: the free list never outgrows the
   // node pool, whose capacity it shares via reserve().
-  free_slots_.push_back(top.slot);
+  free_slots_.push_back(slot);
   ++stats_.fired;
   fn();
   return true;

@@ -17,7 +17,8 @@
 
 namespace anufs::sim {
 
-/// Opaque handle for cancelling a scheduled event.
+/// Opaque handle for cancelling a scheduled event: the event's calendar
+/// key, seq << 24 | slot (see Scheduler::Entry).
 struct EventId {
   std::uint64_t value = 0;
   friend constexpr bool operator==(EventId, EventId) = default;
@@ -144,32 +145,42 @@ class Scheduler {
   ANUFS_HOT bool step();
 
  private:
-  // One pooled handler slot. `gen` advances every time the slot is
-  // consumed (fired or cancelled), so a heap Entry or EventId carrying a
-  // stale generation can never resolve to a recycled slot's new handler.
+  // An entry's key packs its schedule sequence over its pool slot:
+  // seq << kSlotBits | slot. Sequences are unique and start at 1, so a
+  // key names one scheduling forever and no live key is kNoEvent.
+  // Comparing keys compares seqs, since seq fills the high bits.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
+  static constexpr std::uint64_t kNoEvent = 0;
+
+  // One pooled handler slot. `key` is the key of the slot's pending
+  // entry, or kNoEvent once it fired or was cancelled, so a heap Entry
+  // or EventId from an earlier scheduling never resolves to a recycled
+  // slot's new handler.
   struct Node {
     Handler fn;
-    std::uint32_t gen = 1;
+    std::uint64_t key = kNoEvent;
   };
+  // 16 bytes: a 4-ary node's children fill one 64-byte line.
   struct Entry {
     SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint64_t key;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
 
-  [[nodiscard]] static constexpr std::uint64_t make_id(
-      std::uint32_t slot, std::uint32_t gen) noexcept {
-    return (static_cast<std::uint64_t>(gen) << 32) | slot;
+  [[nodiscard]] static constexpr std::uint32_t slot_of(
+      std::uint64_t key) noexcept {
+    return static_cast<std::uint32_t>(key & kSlotMask);
   }
   [[nodiscard]] bool is_tombstone(const Entry& e) const noexcept {
-    return nodes_[e.slot].gen != e.gen;
+    return nodes_[slot_of(e.key)].key != e.key;
   }
 
   // 4-ary heap primitives over heap_, earliest entry at index 0 (the
@@ -192,7 +203,7 @@ class Scheduler {
   ANUFS_COLD std::uint32_t grow_pool();
 
   SimTime now_ = kTimeZero;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;
   Stats stats_;
   // 4-ary min-heap in Later order, managed by sift_up/sift_down (rather
   // than std::priority_queue) so maybe_compact() can rebuild it in place.
@@ -202,8 +213,8 @@ class Scheduler {
   std::vector<Entry> heap_;
   // Slot pool: handlers stored out of the heap so Entry stays trivially
   // copyable, recycled through free_slots_ so steady state allocates
-  // nothing. tombstones_ counts heap entries whose slot generation moved
-  // on (cancelled, by the eager-reclaim rule in cancel()).
+  // nothing. tombstones_ counts heap entries whose slot key moved on
+  // (cancelled, by the eager-reclaim rule in cancel()).
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t tombstones_ = 0;

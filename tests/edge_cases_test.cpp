@@ -110,8 +110,8 @@ TEST(EdgeCasesDeathTest, SchedulerRejectsPastEvents) {
 TEST(EdgeCasesDeathTest, FifoRejectsNonPositiveDemand) {
   sim::Scheduler sched;
   sim::FifoServer server(sched, 1.0);
-  EXPECT_DEATH(server.submit(0.0, 0, nullptr), "precondition");
-  EXPECT_DEATH(server.submit(-1.0, 0, nullptr), "precondition");
+  EXPECT_DEATH(server.submit(0.0, 0), "precondition");
+  EXPECT_DEATH(server.submit(-1.0, 0), "precondition");
 }
 
 TEST(EdgeCases, HugeClusterInitializes) {

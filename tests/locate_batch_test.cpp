@@ -8,7 +8,9 @@
 // probe budgets, and random churn/fault interleavings with the
 // invariant auditor forced on. The digest test re-proves the
 // reproducibility contract: the same interleavings replayed at any
-// --jobs count fold to the same digests.
+// --jobs count fold to the same digests. The portable tests rerun the
+// properties with the AVX-512 kernel switched off, so the portable
+// multi-lane loop is tested on hosts that have the vector kernel.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -200,6 +202,46 @@ TEST(LocateBatch, BitIdenticalAcrossJobsCounts) {
   force_auditing();
   const std::vector<std::uint64_t> serial = digests_at_jobs(6, 1);
   EXPECT_EQ(serial, digests_at_jobs(6, 4)) << "jobs=4";
+}
+
+// Routes batched locates through the portable multi-lane loop for its
+// scope. On hosts without AVX-512 that loop already runs, and these
+// tests repeat the ones above.
+class PortableLocate {
+ public:
+  PortableLocate() { core::testing::force_portable_locate(true); }
+  ~PortableLocate() { core::testing::force_portable_locate(false); }
+  PortableLocate(const PortableLocate&) = delete;
+  PortableLocate& operator=(const PortableLocate&) = delete;
+};
+
+TEST(LocateBatch, PortableLoopMatchesScalarUnderRandomInterleavings) {
+  force_auditing();
+  std::vector<std::uint64_t> portable_digests;
+  {
+    const PortableLocate portable;
+    portable_digests = digests_at_jobs(6, 1);
+  }
+  EXPECT_EQ(portable_digests, digests_at_jobs(6, 1));
+}
+
+TEST(LocateBatch, PortableLoopAndDispatchedKernelAgree) {
+  std::vector<ServerId> servers;
+  for (std::uint32_t i = 0; i < 24; ++i) servers.push_back(ServerId{i});
+  const core::AnuSystem system{core::AnuConfig{}, servers};
+  sim::Xoshiro256 rng{5};
+  std::vector<std::uint64_t> fps(4096);
+  for (auto& fp : fps) fp = rng();
+  std::vector<LocateResult> want(fps.size());
+  std::vector<LocateResult> got(fps.size());
+  system.locate_many(fps, want);
+  {
+    const PortableLocate portable;
+    system.locate_many(fps, got);
+  }
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    expect_same(got[i], want[i], "portable vs dispatched", i);
+  }
 }
 
 TEST(LocateBatch, EmptyBatchIsANoOp) {

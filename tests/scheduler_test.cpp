@@ -323,7 +323,7 @@ TEST(Scheduler, CancelledSlotsReturnToThePool) {
 
 TEST(Scheduler, StaleIdCannotCancelARecycledSlot) {
   // After `first` fires, its slot returns to the pool and the next
-  // schedule reuses it — under a fresh generation, so the stale id must
+  // schedule reuses it — under a fresh key, so the stale id must
   // neither cancel the new event nor be reported as cancellable.
   Scheduler sched;
   const EventId first = sched.schedule_at(1.0, [] {});
@@ -336,6 +336,22 @@ TEST(Scheduler, StaleIdCannotCancelARecycledSlot) {
   sched.run();
   EXPECT_TRUE(second_fired);
   EXPECT_EQ(sched.stats().pool_recycled, 1u);
+}
+
+TEST(Scheduler, DefaultEventIdCancelsNothing) {
+  // A default EventId (value 0) names slot 0, and a slot with no pending
+  // event also holds key 0, so cancel() must refuse it explicitly: an
+  // idle slot must not be "cancelled" onto the free list a second time.
+  Scheduler sched;
+  bool fired = false;
+  sched.schedule_at(1.0, [&fired] { fired = true; });
+  EXPECT_FALSE(sched.cancel(EventId{}));
+  sched.run();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(sched.cancel(EventId{}));
+  const Scheduler::Stats stats = sched.stats();
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(stats.pool_free, stats.pool_size);
 }
 
 TEST(Scheduler, ReservePreSizesWithoutAllocatingNodes) {
