@@ -18,6 +18,7 @@
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
 #include "serve/snapshot.h"
+#include "sim/distributions.h"
 #include "sim/queueing.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
@@ -240,6 +241,37 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.counters["pool_recycled"] = static_cast<double>(stats.pool_recycled);
 }
 BENCHMARK(BM_SchedulerThroughput)->Arg(64)->Arg(4096)->Arg(65536);
+
+// Argument: calendar depth, as above. BM_SchedulerThroughput's tickers
+// always schedule the latest event, the heap's best case: the new entry
+// never rises. Here each fired event schedules its successor an
+// exponential delay ahead (mean 1 s, fixed seed, drawn up front so the
+// loop times only the calendar), so new entries land anywhere in the
+// heap and the (time, seq) comparison decides at every level.
+void BM_SchedulerRandomDelay(benchmark::State& state) {
+  const auto backlog = static_cast<std::size_t>(state.range(0));
+  std::vector<double> delays(std::size_t{1} << 16);
+  sim::Xoshiro256 rng{42};
+  for (double& d : delays) d = sim::sample_exponential(rng, 1.0);
+  sim::Scheduler sched;
+  sched.reserve(backlog);
+  struct Source {
+    sim::Scheduler& sched;
+    const std::vector<double>& delays;
+    std::size_t next = 0;
+    void arm() {
+      const double delay = delays[next++ & (delays.size() - 1)];
+      sched.schedule_in(delay, [this] { arm(); });
+    }
+  };
+  Source source{sched, delays};
+  for (std::size_t i = 0; i < backlog; ++i) source.arm();
+  for (auto _ : state) {
+    sched.step();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SchedulerRandomDelay)->Arg(64)->Arg(4096)->Arg(65536);
 
 // Argument: jobs at the server, counting the one in service. The sink
 // submits a fresh job for every one that completes, so the depth holds

@@ -4,7 +4,8 @@
 #
 #   * the core microbenchmarks (google-benchmark JSON, bench/micro_core):
 #     hash probe, cache-miss / cached / uncached locate, retune,
-#     scheduler and FIFO-server throughput
+#     scheduler throughput (in-order and random-delay) and FIFO-server
+#     throughput
 #   * an end-to-end multi-seed sweep (tools/anufs_sim --sweep) wall clock
 #   * optionally, the same sweep on a pre-change binary for a recorded
 #     before/after speedup (--baseline-bin)
@@ -380,6 +381,10 @@ jq -n \
       # The deepest calendar: sim-scale runs with ~42k events pending.
       scheduler_events_per_sec: (
         1e9 / $bench["BM_SchedulerThroughput/65536"].time_ns),
+      # The same depth with exponential delays: new entries land anywhere
+      # in the heap, so every sift level pays the (time, seq) comparison.
+      scheduler_random_events_per_sec: (
+        1e9 / $bench["BM_SchedulerRandomDelay/65536"].time_ns),
       # Submit -> complete cycles with 16 jobs at the server.
       fifo_jobs_per_sec: (
         1e9 / $bench["BM_FifoServerThroughput/16"].time_ns)

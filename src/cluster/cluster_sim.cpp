@@ -184,9 +184,11 @@ void ClusterSim::arrive(std::size_t index) {
   }
   if (!forwarded) deliver(r.file_set, r.demand, r.time, index);
 
+  // The next arrival rides the scheduler's stream (installed by run()),
+  // armed here, where its seq would be taken as a heap event.
   if (index + 1 < workload_.requests.size()) {
-    sched_.schedule_at(workload_.requests[index + 1].time,
-                       [this, index] { arrive(index + 1); });
+    next_arrival_ = index + 1;
+    sched_.stream_at(workload_.requests[next_arrival_].time);
   }
 }
 
@@ -433,9 +435,9 @@ RunResult ClusterSim::run() {
     result_.latency_ms.at(server_label(ServerId{i})).reserve(expected_points);
   }
   sched_.reserve(256);
+  sched_.set_stream([this] { arrive(next_arrival_); });
   if (!workload_.requests.empty()) {
-    sched_.schedule_at(workload_.requests.front().time,
-                       [this] { arrive(0); });
+    sched_.stream_at(workload_.requests.front().time);
   }
   if (config_.reconfig_period <= workload_.duration) {
     sched_.schedule_at(config_.reconfig_period, [this] { reconfigure(); });

@@ -275,6 +275,8 @@ class ClusterSim {
   // Requests currently between servers (forward hop in flight): part of
   // the conservation ledger surfaced as RunResult::in_transit_at_end.
   std::uint64_t in_transit_ = 0;
+  // Index of the request the armed arrival stream delivers next.
+  std::size_t next_arrival_ = 0;
   bool ran_ = false;
 };
 

@@ -23,32 +23,6 @@ namespace anufs::sim {
 [[nodiscard]] double sample_log_uniform(Xoshiro256& rng, double lo_exp,
                                         double hi_exp);
 
-/// Bounded Pareto on [lo, hi] with shape alpha. Used for bursty
-/// trace-like service demands.
-[[nodiscard]] double sample_bounded_pareto(Xoshiro256& rng, double alpha,
-                                           double lo, double hi);
-
-/// Zipf sampler over ranks 1..n with exponent s, via precomputed CDF.
-/// O(n) construction, O(log n) per sample. Used to shape trace-like
-/// file-set popularity.
-class ZipfSampler {
- public:
-  ZipfSampler(std::uint32_t n, double exponent);
-
-  /// Rank in [0, n). Rank 0 is the most popular.
-  [[nodiscard]] std::uint32_t sample(Xoshiro256& rng) const;
-
-  [[nodiscard]] std::uint32_t size() const noexcept {
-    return static_cast<std::uint32_t>(cdf_.size());
-  }
-
-  /// Probability mass of rank r.
-  [[nodiscard]] double pmf(std::uint32_t rank) const;
-
- private:
-  std::vector<double> cdf_;  // cdf_[r] = P(rank <= r)
-};
-
 /// Discrete sampler over arbitrary non-negative weights (normalized
 /// internally). Used to pick which file set an arrival belongs to.
 class WeightedSampler {

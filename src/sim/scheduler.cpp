@@ -12,6 +12,8 @@ constexpr std::size_t kCompactionFloor = 64;
 }  // namespace
 
 EventId Scheduler::schedule_at(SimTime at, Handler fn) {
+  // Rejects NaN too; `at + 0.0` below turns -0.0 (which passes at t = 0)
+  // into +0.0, whose bit pattern ranks first rather than last.
   ANUFS_EXPECTS(at >= now_);
   ANUFS_EXPECTS(fn != nullptr);
   const std::uint64_t seq = next_seq_++;
@@ -30,10 +32,26 @@ EventId Scheduler::schedule_at(SimTime at, Handler fn) {
   node.key = key;
   // anufs-lint: safe(H1) amortized: reserve() pre-sizes to peak pending,
   // steady state stays within capacity.
-  heap_.push_back(Entry{at, key});
+  heap_.push_back(Entry{at + 0.0, key});
   sift_up(heap_.size() - 1, 0);
   stats_.peak_pending = std::max(stats_.peak_pending, pending());
   return EventId{key};
+}
+
+void Scheduler::set_stream(Handler fn) {
+  ANUFS_EXPECTS(fn != nullptr);
+  ANUFS_EXPECTS(stream_armed() == 0);
+  stream_fn_ = std::move(fn);
+}
+
+void Scheduler::stream_at(SimTime at) {
+  ANUFS_EXPECTS(at >= now_);
+  ANUFS_EXPECTS(stream_armed() == 0);
+  ANUFS_EXPECTS(stream_fn_ != nullptr);
+  const std::uint64_t seq = next_seq_++;
+  ANUFS_EXPECTS(seq < kMaxSeq);
+  stream_ = Entry{at + 0.0, seq << kSlotBits};
+  stats_.peak_pending = std::max(stats_.peak_pending, pending());
 }
 
 void Scheduler::sift_up(std::size_t i, std::size_t top) noexcept {
@@ -139,13 +157,23 @@ bool Scheduler::skip_cancelled() {
   return false;
 }
 
-bool Scheduler::step() {
-  if (!skip_cancelled()) return false;
-  const Entry top = heap_.front();
-  pop_top();
-  ANUFS_ENSURES(top.time >= now_);
-  now_ = top.time;
-  const std::uint32_t slot = slot_of(top.key);
+const Scheduler::Entry* Scheduler::earliest() {
+  const Entry* top = skip_cancelled() ? &heap_.front() : nullptr;
+  if (stream_armed() == 0) return top;
+  return top == nullptr || Later{}(*top, stream_) ? &stream_ : top;
+}
+
+void Scheduler::fire(const Entry* e) {
+  ANUFS_ENSURES(e->time >= now_);
+  now_ = e->time;
+  ++stats_.fired;
+  if (e == &stream_) {
+    stream_.key = kNoEvent;  // disarm first: the handler may re-arm
+    stream_fn_();
+    return;
+  }
+  const std::uint32_t slot = slot_of(e->key);
+  pop_top();  // `e` pointed at heap_.front(); it is gone from here on
   Node& node = nodes_[slot];
   ANUFS_ENSURES(node.fn != nullptr);
   Handler fn = std::move(node.fn);
@@ -157,8 +185,13 @@ bool Scheduler::step() {
   // anufs-lint: safe(H1) amortized: the free list never outgrows the
   // node pool, whose capacity it shares via reserve().
   free_slots_.push_back(slot);
-  ++stats_.fired;
   fn();
+}
+
+bool Scheduler::step() {
+  const Entry* e = earliest();
+  if (e == nullptr) return false;
+  fire(e);
   return true;
 }
 
@@ -169,8 +202,9 @@ void Scheduler::run() {
 
 void Scheduler::run_until(SimTime horizon) {
   ANUFS_EXPECTS(horizon >= now_);
-  while (skip_cancelled() && heap_.front().time <= horizon) {
-    step();
+  for (const Entry* e = earliest(); e != nullptr && e->time <= horizon;
+       e = earliest()) {
+    fire(e);
   }
   now_ = horizon;
 }

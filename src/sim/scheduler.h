@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -37,6 +38,23 @@ struct EventId {
 /// lazily, and the heap is compacted whenever tombstones come to dominate
 /// it, so cancel-heavy workloads stay O(live events) in memory even when
 /// the cancelled entries never surface at the top.
+///
+/// The stream: one extra event that lives beside the heap, for a chain
+/// whose next link is known when the current one fires (the simulator's
+/// arrivals, which the workload already holds in time order). set_stream()
+/// installs its handler once; stream_at() arms it with a seq taken exactly
+/// where schedule_at() would take one, so moving a chain onto the stream
+/// changes no firing order. step() and run_until() fire whichever of the
+/// heap top and the stream entry ranks first. A stream firing counts in
+/// fired, pending() and peak_pending like any event, but holds no pool
+/// slot, builds no std::function and never touches the heap. At most one
+/// stream event is pending; a firing disarms it before its handler runs.
+///
+/// Order: an entry's rank is one unsigned 128-bit number, the bit pattern
+/// of its time over its key. Times are never negative (schedule_at and
+/// stream_at normalise -0.0 to +0.0), and non-negative doubles order like
+/// their bit patterns, so comparing ranks is the (time, seq) order with a
+/// single wide compare instead of a branch on the times.
 ///
 /// Allocation discipline: handlers live in a slot pool recycled through a
 /// free list, so steady-state operation (schedule -> fire -> schedule)
@@ -71,12 +89,14 @@ class Scheduler {
     // Pool composition AT SNAPSHOT TIME, filled by stats() in the same
     // read as the cumulative counters above so the "allocates nothing"
     // assertions can check conservation (pool_size == pool_free +
-    // pending) instead of re-reading the free list in a separate call —
+    // pending - stream_armed: the stream event is pending but holds no
+    // pool slot) instead of re-reading the free list in a separate call —
     // a second read may interleave with a cancel's eager reclaim or a
     // compaction and see the counters and the free-list head disagree.
     std::size_t pool_size = 0;  ///< nodes ever allocated (pool high-water)
     std::size_t pool_free = 0;  ///< slots on the free list right now
     std::size_t pending = 0;    ///< live (un-fired, un-cancelled) events
+    std::size_t stream_armed = 0;  ///< 1 while the stream event is pending
   };
 
   /// Current simulated time. Starts at kTimeZero; advances only while
@@ -85,7 +105,7 @@ class Scheduler {
 
   /// Number of events scheduled but not yet fired or cancelled.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - tombstones_;
+    return heap_.size() - tombstones_ + stream_armed();
   }
 
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
@@ -98,14 +118,16 @@ class Scheduler {
   /// observe a half-updated struct if it outlives this Scheduler or
   /// hands the snapshot to another thread. The pool-composition fields
   /// are captured in the same call as the cumulative counters, so the
-  /// conservation law pool_size == pool_free + pending holds in every
-  /// snapshot — including one taken mid-compaction, because compaction
-  /// rewrites only the heap's tombstones, never the node pool.
+  /// conservation law pool_size == pool_free + pending - stream_armed
+  /// holds in every snapshot — including one taken mid-compaction,
+  /// because compaction rewrites only the heap's tombstones, never the
+  /// node pool.
   [[nodiscard]] Stats stats() const noexcept {
     Stats s = stats_;
     s.pool_size = nodes_.size();
     s.pool_free = free_slots_.size();
     s.pending = pending();
+    s.stream_armed = stream_armed();
     return s;
   }
 
@@ -125,6 +147,14 @@ class Scheduler {
     ANUFS_EXPECTS(delay >= 0.0);
     return schedule_at(now_ + delay, std::move(fn));
   }
+
+  /// Install the stream's handler (see the class comment). Cold: called
+  /// once, before the stream is first armed, and never while it is armed.
+  ANUFS_COLD void set_stream(Handler fn);
+
+  /// Arm the stream to fire at absolute time `at` (>= now()). The stream
+  /// must be installed and not already armed.
+  ANUFS_HOT void stream_at(SimTime at);
 
   /// Cancel a pending event. Returns false if the event already fired or
   /// was already cancelled. The handler — and any state it captured — is
@@ -168,10 +198,17 @@ class Scheduler {
     SimTime time;
     std::uint64_t key;
   };
+  // The (time, seq) order as one number: exact because times are never
+  // negative (schedule_at and stream_at store at + 0.0, so not -0.0
+  // either), and a non-negative double's bit pattern orders like its
+  // value.
+  [[nodiscard]] static unsigned __int128 rank(const Entry& e) noexcept {
+    const auto time_bits = std::bit_cast<std::uint64_t>(e.time);
+    return static_cast<unsigned __int128>(time_bits) << 64 | e.key;
+  }
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.key > b.key;
+      return rank(a) > rank(b);
     }
   };
 
@@ -193,6 +230,14 @@ class Scheduler {
   ANUFS_HOT void pop_top() noexcept;
   // Pops cancelled entries off the heap top; returns false if drained.
   ANUFS_HOT bool skip_cancelled();
+  [[nodiscard]] std::size_t stream_armed() const noexcept {
+    return stream_.key != kNoEvent ? 1 : 0;
+  }
+  // The earliest pending entry, the heap top or the stream, whichever
+  // ranks first; nullptr when nothing is pending.
+  ANUFS_HOT const Entry* earliest();
+  // Fire `e`, an entry earliest() returned.
+  ANUFS_HOT void fire(const Entry* e);
   // Purges tombstones from the whole heap once they dominate it. (time,
   // seq) is a strict total order, so rebuilding the heap cannot change
   // the firing order — determinism is preserved across compaction.
@@ -218,6 +263,10 @@ class Scheduler {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t tombstones_ = 0;
+  // The stream: its handler, and its pending entry (key seq << kSlotBits,
+  // slot bits unused), or key kNoEvent while disarmed.
+  Handler stream_fn_;
+  Entry stream_{kTimeZero, kNoEvent};
 };
 
 }  // namespace anufs::sim

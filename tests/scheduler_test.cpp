@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -373,14 +374,27 @@ TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
   // pool composition and counters in one call, so the conservation law
   // pool_size == pool_free + pending must hold in EVERY snapshot —
   // before, during, and after the storm that triggers compaction.
+  //
+  // The stream event is pending but holds no pool slot, so the law reads
+  // pool_size == pool_free + pending - stream_armed; the stream stays
+  // armed through the scheduling and the storm below.
   Scheduler sched;
   const auto check = [&sched](const char* where) {
     const Scheduler::Stats s = sched.stats();
-    EXPECT_EQ(s.pool_size, s.pool_free + s.pending) << where;
+    EXPECT_EQ(s.pool_size, s.pool_free + s.pending - s.stream_armed)
+        << where;
     EXPECT_EQ(s.pool_size, s.pool_allocated) << where;
     EXPECT_EQ(s.pending, sched.pending()) << where;
   };
   check("empty");
+
+  std::uint64_t stream_fires = 0;
+  sched.set_stream([&sched, &stream_fires] {
+    if (++stream_fires < 3) sched.stream_at(sched.now() + 100.0);
+  });
+  sched.stream_at(0.5);
+  EXPECT_EQ(sched.stats().stream_armed, 1u);
+  check("stream armed");
 
   std::vector<EventId> ids;
   for (int i = 0; i < 200; ++i) {
@@ -402,8 +416,10 @@ TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
   check("drained");
   const Scheduler::Stats end = sched.stats();
   EXPECT_EQ(end.pending, 0u);
+  EXPECT_EQ(end.stream_armed, 0u);
   EXPECT_EQ(end.pool_free, end.pool_size);
-  EXPECT_EQ(end.fired, 40u);
+  EXPECT_EQ(stream_fires, 3u);
+  EXPECT_EQ(end.fired, 40u + stream_fires);
   EXPECT_EQ(end.cancelled, 160u);
 }
 
@@ -427,9 +443,22 @@ TEST(Scheduler, ManyEventsDeterministicOrder) {
 // past 4, 16, 64 and 4096 pending (the first levels of a 4-ary heap and
 // a deep one), many events share an instant, and a cancel storm forces
 // compaction.
+//
+// With the stream on, the stream event joins the same reference set
+// under the seq stream_at takes. Handlers re-arm the stream and schedule
+// heap events at their own instant in both seq orders, cancels and
+// compactions run while it is armed, run_until sometimes stops exactly
+// at its time, and fired, pending(), peak_pending and the pool
+// conservation law are checked against the reference after every
+// operation.
 class OrderOracle {
  public:
   using Key = std::pair<SimTime, std::uint64_t>;
+
+  explicit OrderOracle(bool with_stream = false)
+      : with_stream_(with_stream) {
+    if (with_stream_) sched_.set_stream([this] { fire_stream(); });
+  }
 
   // Moves the calendar toward `target` pending events with a random mix
   // of operations biased in that direction.
@@ -441,20 +470,25 @@ class OrderOracle {
     }
   }
 
-  // Cancels live events until at most `target` remain.
+  // Cancels live events until at most `target` remain (the stream event,
+  // which cannot be cancelled, arms first so the storm runs beside it).
   void cancel_storm(std::size_t target) {
-    while (sched_.pending() > target) {
+    if (with_stream_) arm_stream(stream_delay());
+    while (sched_.pending() > target + stream_count()) {
       prune_scheduled();
       cancel_random();
+      check_counters();
     }
   }
 
   void drain() {
     sched_.run();
     check(expected_.empty());
+    check_counters();
   }
 
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+  [[nodiscard]] std::uint64_t stream_fired() const { return stream_fired_; }
   [[nodiscard]] const Scheduler& sched() const { return sched_; }
 
  private:
@@ -467,7 +501,9 @@ class OrderOracle {
     } else {
       step();
     }
+    if (with_stream_ && rng_() % 2 == 0) arm_stream(stream_delay());
     check(sched_.pending() == expected_.size());
+    check_counters();
   }
 
   void shrink_op() {
@@ -478,10 +514,13 @@ class OrderOracle {
       cancel_random();
     } else if (r < 17) {
       step();
+    } else if (stream_armed_ && rng_() % 2 == 0) {
+      run_until(stream_key_.first);
     } else {
-      run_until(0.25 * static_cast<double>(rng_() % 3));
+      run_until(sched_.now() + 0.25 * static_cast<double>(rng_() % 3));
     }
     check(sched_.pending() == expected_.size());
+    check_counters();
   }
 
   // Delays on a quarter-second grid, half of them within two seconds, so
@@ -491,22 +530,86 @@ class OrderOracle {
     return 0.25 * static_cast<double>(rng_() % spread);
   }
 
-  void schedule(bool absolute) {
-    const SimDuration delay = random_delay();
+  // The stream's next link lies within a second, on the same grid, so it
+  // fires often even with thousands of heap events pending.
+  SimDuration stream_delay() {
+    return 0.25 * static_cast<double>(rng_() % 4);
+  }
+
+  void schedule(bool absolute) { schedule(absolute, random_delay()); }
+
+  void schedule(bool absolute, SimDuration delay) {
     const Key key{sched_.now() + delay, next_seq_++};
     auto handler = [this, key] { fire(key); };
     const EventId id = absolute ? sched_.schedule_at(key.first, handler)
                                 : sched_.schedule_in(delay, handler);
-    expected_.insert(key);
+    insert(key);
     scheduled_.emplace_back(id, key);
   }
 
+  // Arms the stream `delay` from now unless it is already armed.
+  void arm_stream(SimDuration delay) {
+    if (!with_stream_ || stream_armed_) return;
+    stream_key_ = Key{sched_.now() + delay, next_seq_++};
+    sched_.stream_at(stream_key_.first);
+    stream_armed_ = true;
+    insert(stream_key_);
+  }
+
+  void insert(const Key& key) {
+    expected_.insert(key);
+    peak_ = std::max(peak_, expected_.size());
+  }
+
   void fire(const Key& key) {
+    check_next(key);
+    if (!with_stream_) {
+      // Some handlers schedule follow-ups, some at the current instant.
+      if (rng_() % 4 == 0) schedule(rng_() % 2 == 0);
+      return;
+    }
+    follow_up();
+  }
+
+  void fire_stream() {
+    check(stream_armed_);
+    stream_armed_ = false;
+    ++stream_fired_;
+    check_next(stream_key_);
+    follow_up();
+  }
+
+  void check_next(const Key& key) {
     check(!expected_.empty() && *expected_.begin() == key);
     check(sched_.now() == key.first);
     expected_.erase(key);
-    // Some handlers schedule follow-ups, some at the current instant.
-    if (rng_() % 4 == 0) schedule(rng_() % 2 == 0);
+    ++fired_;
+  }
+
+  // What a handler does once its firing checks out, with the stream on:
+  // nothing, a heap follow-up, a re-armed stream, or both at the current
+  // instant in either seq order. At most 7/8 of a new event per firing
+  // on average, so every chain dies out and drain() terminates.
+  void follow_up() {
+    switch (rng_() % 8) {
+      case 0:
+      case 1:
+        schedule(rng_() % 2 == 0);
+        break;
+      case 2:
+        arm_stream(stream_delay());
+        break;
+      case 3:  // stream first, then the heap, at this instant
+        arm_stream(0.0);
+        schedule(rng_() % 2 == 0, 0.0);
+        break;
+      case 4:  // heap first, then the stream, at this instant
+        schedule(rng_() % 2 == 0, 0.0);
+        arm_stream(0.0);
+        break;
+      default:
+        break;
+    }
   }
 
   void cancel_random() {
@@ -521,8 +624,7 @@ class OrderOracle {
     check(sched_.step() == had_events);
   }
 
-  void run_until(SimDuration reach) {
-    const SimTime horizon = sched_.now() + reach;
+  void run_until(SimTime horizon) {
     sched_.run_until(horizon);
     check(sched_.now() == horizon);
     check(expected_.empty() || expected_.begin()->first > horizon);
@@ -536,20 +638,38 @@ class OrderOracle {
     });
   }
 
+  [[nodiscard]] std::size_t stream_count() const {
+    return stream_armed_ ? 1 : 0;
+  }
+
+  void check_counters() {
+    const Scheduler::Stats s = sched_.stats();
+    check(s.fired == fired_);
+    check(s.pending == expected_.size());
+    check(s.peak_pending == peak_);
+    check(s.stream_armed == stream_count());
+    check(s.pool_size == s.pool_free + s.pending - s.stream_armed);
+  }
+
   void check(bool ok) {
     if (!ok) ++mismatches_;
   }
 
+  const bool with_stream_;
   Scheduler sched_;
   std::set<Key> expected_;
   std::vector<std::pair<EventId, Key>> scheduled_;
+  bool stream_armed_ = false;
+  Key stream_key_{};
   std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t stream_fired_ = 0;
+  std::size_t peak_ = 0;
   std::uint64_t mismatches_ = 0;
   std::mt19937_64 rng_{20030415};
 };
 
-TEST(Scheduler, FiringOrderMatchesOrderedSetOracle) {
-  OrderOracle oracle;
+void drive_oracle(OrderOracle& oracle) {
   for (const std::size_t target : {5u, 3u, 17u, 15u, 65u, 63u, 4097u}) {
     oracle.drive_to(target);
   }
@@ -558,11 +678,100 @@ TEST(Scheduler, FiringOrderMatchesOrderedSetOracle) {
     oracle.drive_to(target);
   }
   oracle.drain();
+}
+
+TEST(Scheduler, FiringOrderMatchesOrderedSetOracle) {
+  OrderOracle oracle;
+  drive_oracle(oracle);
   EXPECT_EQ(oracle.mismatches(), 0u);
   const Scheduler::Stats stats = oracle.sched().stats();
   EXPECT_GE(stats.peak_pending, 4097u);
   EXPECT_GE(stats.compactions, 1u);
   EXPECT_GT(stats.cancelled, 3000u);
+}
+
+TEST(Scheduler, StreamAndHeapFiringOrderMatchesOrderedSetOracle) {
+  OrderOracle oracle(/*with_stream=*/true);
+  drive_oracle(oracle);
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  EXPECT_GT(oracle.stream_fired(), 200u);
+  const Scheduler::Stats stats = oracle.sched().stats();
+  EXPECT_GE(stats.peak_pending, 4097u);
+  EXPECT_GE(stats.compactions, 1u);
+  EXPECT_GT(stats.cancelled, 3000u);
+}
+
+TEST(Scheduler, StreamTakesItsSeqWhereScheduleAtWould) {
+  // At one instant the stream and heap events fire in the order they
+  // were armed and scheduled, whichever came first, also when a stream
+  // handler re-arms beside a heap follow-up (heap first on the first
+  // firing, stream first on the second).
+  Scheduler sched;
+  std::vector<int> order;
+  int stream_fires = 0;
+  sched.set_stream([&] {
+    order.push_back(-++stream_fires);
+    if (stream_fires == 1) {
+      sched.schedule_at(1.0, [&] { order.push_back(3); });
+      sched.stream_at(1.0);
+    } else if (stream_fires == 2) {
+      sched.stream_at(1.0);
+      sched.schedule_at(1.0, [&] { order.push_back(4); });
+    }
+  });
+  sched.schedule_at(1.0, [&] { order.push_back(1); });
+  sched.stream_at(1.0);
+  sched.schedule_at(1.0, [&] { order.push_back(2); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, -1, 2, 3, -2, -3, 4}));
+  EXPECT_EQ(sched.fired(), 7u);
+}
+
+TEST(Scheduler, StreamCountsAsPendingAndFired) {
+  Scheduler sched;
+  int fires = 0;
+  sched.set_stream([&] {
+    if (++fires < 4) sched.stream_at(sched.now() + 1.0);
+  });
+  sched.stream_at(1.0);
+  sched.schedule_at(1.5, [] {});
+  EXPECT_EQ(sched.pending(), 2u);
+  EXPECT_EQ(sched.stats().peak_pending, 2u);
+  EXPECT_EQ(sched.stats().pool_size, 1u);
+  sched.run_until(2.0);  // the stream at exactly the horizon fires
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run();
+  EXPECT_EQ(fires, 4);
+  EXPECT_EQ(sched.now(), 4.0);
+  EXPECT_TRUE(sched.empty());
+  EXPECT_EQ(sched.fired(), 5u);
+}
+
+TEST(Scheduler, NegativeZeroFiresBeforeALaterPositiveZero) {
+  // -0.0 passes `at >= now()` at t = 0, and its bit pattern would rank
+  // after every other time; the scheduler stores it as +0.0.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.set_stream([&] { order.push_back(2); });
+  sched.schedule_at(-0.0, [&] { order.push_back(1); });
+  sched.stream_at(-0.0);
+  sched.schedule_at(0.0, [&] { order.push_back(3); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_FALSE(std::signbit(sched.now()));
+}
+
+TEST(SchedulerDeathTest, ArmingAnArmedStreamAborts) {
+  Scheduler sched;
+  sched.set_stream([] {});
+  sched.stream_at(1.0);
+  EXPECT_DEATH(sched.stream_at(2.0), "precondition");
+}
+
+TEST(SchedulerDeathTest, ArmingAnUninstalledStreamAborts) {
+  Scheduler sched;
+  EXPECT_DEATH(sched.stream_at(1.0), "precondition");
 }
 
 }  // namespace
