@@ -47,6 +47,11 @@
 #             and runs every workload once at tiny sizes with its
 #             correctness gate — the tripwire for a library change that
 #             breaks the benchmark's use of the public APIs
+#   reach     opt-in, never in the default list: scripts/reach.sh, the
+#             census that fails when a src/ function is reached by no
+#             tool, bench, example or anufs_e2e and is not on
+#             scripts/reach.allow (header-only and inline code escapes
+#             it)
 #
 # Tests carry ctest labels (unit | property | golden | stress |
 # bench-smoke | lint; see tests/CMakeLists.txt). default and sanitize
@@ -109,6 +114,11 @@ for stage in "${STAGES[@]}"; do
     for sub in lint fixtures thread-safety; do
       run_skippable "static:$sub" ./scripts/static.sh --jobs "$JOBS" "$sub"
     done
+    continue
+  fi
+  if [ "$stage" = reach ]; then
+    echo "== reach"
+    ./scripts/reach.sh
     continue
   fi
   if [ "$stage" = e2e-smoke ]; then

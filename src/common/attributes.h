@@ -8,11 +8,10 @@
 // (__attribute__((hot)) biases inlining and code placement).
 //
 // ANUFS_COLD marks the explicit slow paths reachable FROM hot code
-// (pool growth, compaction, the tuner's full recompute): the H1
-// traversal stops at a cold boundary, and the compiler moves the cold
-// body out of the hot text. Marking a function cold is an auditable
-// claim that it runs off the steady-state path — make it in the same
-// commit that explains why.
+// (pool growth, the tuner's full recompute): the H1 traversal stops at
+// a cold boundary, and the compiler moves the cold body out of the hot
+// text. Marking a function cold is an auditable claim that it runs off
+// the steady-state path — make it in the same commit that explains why.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)

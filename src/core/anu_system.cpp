@@ -136,6 +136,9 @@ void AnuSystem::fail_server(ServerId id) {
   ANUFS_EXPECTS(regions.has_server(id));
   ANUFS_EXPECTS(regions.server_count() > 1);
   regions.remove_server(id);
+  // A crash loses the server's own latency memory (PairwiseConfig::
+  // divergent), so a recovered server is not gated against its past.
+  pairwise_.forget(id);
   // Survivors grow in proportion to their current shares: their existing
   // regions are untouched (cache preservation); only the failed measure
   // is re-homed.

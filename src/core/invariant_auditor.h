@@ -4,9 +4,9 @@
 // indexes; a bookkeeping bug that corrupts both the partitions and the
 // indexes consistently would pass it. The auditor closes that gap: it
 // re-derives every structural claim from the public query surface alone
-// (dump(), owner_at(), segments(), share()) and from raw serialized
-// records, so it would also catch a restore()/replication payload that
-// lies about the state it carries.
+// (dump(), owner_at(), segments(), share()) and from raw partition
+// records, so it would also catch a dump() whose records lie about the
+// state the map answers queries from.
 //
 // Invariants audited (paper Section 4, SIEVE rules):
 //   * disjointness  — each partition has at most one owner, no duplicate
@@ -61,7 +61,7 @@ class InvariantAuditor {
 
   // ---- pure audits (no live map required) -------------------------------
 
-  /// Audit raw serialized state — the exact payload replication ships.
+  /// Audit raw partition records, in the form RegionMap::dump() returns.
   /// `n_partitions` need not be validated by the caller; a bad count is
   /// itself reported. This is the seam tests use to seed violations.
   [[nodiscard]] static Report audit_records(

@@ -34,7 +34,7 @@ class PartitionIndex {
   explicit PartitionIndex(std::uint32_t count) { reset(count); }
 
   /// Re-shape for a new partition count, dropping every member (the
-  /// region map re-inserts during repartitioning/restore).
+  /// region map re-inserts during repartitioning).
   void reset(std::uint32_t count) {
     count_ = count;
     size_ = 0;

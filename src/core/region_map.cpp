@@ -304,40 +304,6 @@ std::vector<RegionMap::PartitionRecord> RegionMap::dump() const {
   return records;
 }
 
-RegionMap RegionMap::restore(std::uint32_t n_partitions,
-                             const std::vector<ServerId>& all_servers,
-                             const std::vector<RegionMap::PartitionRecord>&
-                                 records) {
-  RegionMap map(n_partitions);
-  for (const ServerId id : all_servers) map.add_server(id);
-  const Measure ps = map.part_size();
-  ++map.generation_;  // record installation mutates state after add_server
-  for (const PartitionRecord& rec : records) {
-    ANUFS_EXPECTS(rec.index < map.space().count());
-    ANUFS_EXPECTS(rec.fill > 0 && rec.fill <= ps);
-    ANUFS_EXPECTS(map.has_server(rec.owner));
-    ANUFS_EXPECTS(map.part_fills_[rec.index] == 0);  // no duplicates
-    map.part_owners_[rec.index] = rec.owner;
-    map.part_fills_[rec.index] = rec.fill;
-    map.free_.erase(rec.index);
-    map.touch(rec.index);
-    ServerRegions& sr = map.regions_of(rec.owner);
-    if (rec.fill == ps) {
-      sr.full.insert(
-          std::lower_bound(sr.full.begin(), sr.full.end(), rec.index),
-          rec.index);
-    } else {
-      ANUFS_EXPECTS(!sr.partial.has_value());  // one-partial invariant
-      sr.partial = rec.index;
-    }
-    sr.share += rec.fill;
-    map.total_ += rec.fill;
-  }
-  map.check_invariants();
-  detail::maybe_audit(map);
-  return map;
-}
-
 void RegionMap::check_invariants() const {
   const Measure ps = part_size();
   // Partition-level consistency.

@@ -58,8 +58,9 @@ struct Segment {
   [[nodiscard]] Measure measure() const noexcept { return end - begin; }
 };
 
-/// The full placement state replicated to every server: O(n) in the
-/// number of servers, independent of the number of file sets.
+/// The full placement state every server needs (the paper's only
+/// replicated state; serving ships it in-process as immutable snapshots):
+/// O(n) in the number of servers, independent of the number of file sets.
 class RegionMap {
  public:
   /// Starts with `n_partitions` (power of two >= 4) and no servers.
@@ -231,36 +232,27 @@ class RegionMap {
   /// (tools/anufs_lint.py) is the static guard that the hook sites and
   /// the stamp sites are the same set — a mutator that forgot to stamp
   /// (and so could also skip publication-by-generation-compare) cannot
-  /// land. The hook must not re-enter the map. Not fired by restore()
-  /// (a from-scratch builder: no observer can hold a reference yet) and
-  /// deliberately dropped from snapshot copies by the publisher, so an
-  /// immutable snapshot can never fire it.
+  /// land. The hook must not re-enter the map. It is deliberately
+  /// dropped from snapshot copies by the publisher, so an immutable
+  /// snapshot can never fire it.
   // anufs-lint: safe(G1) installs the observer; mutates no mapped state,
   // so there is no stamp to advance.
   void set_mutation_hook(std::function<void()> hook) {
     mutation_hook_ = std::move(hook);
   }
 
-  // ---- serialization support (see core/replication.h) -------------------
+  // ---- record view (the invariant auditor's input) ----------------------
 
-  /// One partition's persisted state.
+  /// One occupied partition's state.
   struct PartitionRecord {
     std::uint32_t index = 0;
     ServerId owner;
     Measure fill = 0;
   };
 
-  /// Dump every occupied partition, index-ordered.
+  /// Dump every occupied partition, index-ordered: at most
+  /// space().count() records, so O(servers), never O(file sets) (§5).
   [[nodiscard]] std::vector<PartitionRecord> dump() const;
-
-  /// Rebuild a map from dumped state. `all_servers` must list every
-  /// registered server (including zero-share ones, which own no
-  /// partition and so do not appear in the records). Validates all
-  /// structural invariants; aborts on inconsistent input.
-  [[nodiscard]] static RegionMap restore(
-      std::uint32_t n_partitions,
-      const std::vector<ServerId>& all_servers,
-      const std::vector<PartitionRecord>& records);
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};

@@ -29,8 +29,6 @@ obs::Registry collect_run_metrics(const ScenarioConfig& config,
 
   // Event-engine throughput counters.
   reg.counter("engine.fired").set(result.engine.fired);
-  reg.counter("engine.cancelled").set(result.engine.cancelled);
-  reg.counter("engine.compactions").set(result.engine.compactions);
   reg.counter("engine.peak_pending").set(result.engine.peak_pending);
   reg.counter("engine.pool_allocated").set(result.engine.pool_allocated);
   reg.counter("engine.pool_recycled").set(result.engine.pool_recycled);

@@ -117,10 +117,6 @@ void parse_fault_directive(const std::string& line, FaultPlan& plan);
 /// Load a plan from a file; aborts if the file cannot be opened.
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
 
-/// Serialize back to the grammar above. parse(to_text(p)) == p up to
-/// event ordering (events are emitted sorted by time).
-[[nodiscard]] std::string to_text(const FaultPlan& plan);
-
 /// Check a plan against a cluster of `n_initial_servers` (ids
 /// 0..n-1): every referenced server exists (or is introduced by `add`),
 /// crash/recover alternate correctly per server, at least `min_alive`
@@ -134,27 +130,5 @@ void parse_fault_directive(const std::string& line, FaultPlan& plan);
 /// validate() and abort with the full problem list on failure.
 void validate_or_die(const FaultPlan& plan, std::uint32_t n_initial_servers,
                      std::uint32_t min_alive = 1);
-
-/// Knobs for random plan generation (property tests, fuzzing).
-struct RandomPlanConfig {
-  double duration = 400.0;        ///< events land in [0.05, 0.95]*duration
-  std::uint32_t n_servers = 5;    ///< initial cluster size (ids 0..n-1)
-  std::uint32_t max_crashes = 3;  ///< crash/recover pairs to attempt
-  std::uint32_t max_limps = 2;
-  std::uint32_t max_san_slowdowns = 1;
-  std::uint32_t max_flaky_windows = 1;
-  std::uint32_t max_additions = 1;
-  std::uint32_t min_alive = 2;    ///< never crash below this
-  /// Minimum crash -> recover gap. Must exceed the failure detector's
-  /// timeout + sweep interval when the detector is enabled, or the
-  /// recovery could land before the failure is even declared (which
-  /// ClusterSim rejects by contract).
-  double min_recover_gap = 30.0;
-};
-
-/// Generate a valid random plan, deterministic in `seed`. The result
-/// always passes validate(plan, config.n_servers, config.min_alive).
-[[nodiscard]] FaultPlan make_random_plan(const RandomPlanConfig& config,
-                                         std::uint64_t seed);
 
 }  // namespace anufs::fault

@@ -82,16 +82,6 @@ std::size_t NamespaceTree::entry_count(InodeId dir) const {
   return node == nullptr ? 0 : node->entries.size();
 }
 
-std::vector<std::pair<std::string, InodeId>> NamespaceTree::list(
-    InodeId dir) const {
-  std::vector<std::pair<std::string, InodeId>> out;
-  const Inode* node = find(dir);
-  if (node == nullptr) return out;
-  out.reserve(node->entries.size());
-  for (const auto& [name, id] : node->entries) out.emplace_back(name, id);
-  return out;
-}
-
 NamespaceTree::MutateResult NamespaceTree::create(std::string_view path,
                                                   FileType type) {
   MutateResult m;

@@ -46,10 +46,6 @@ class NamespaceTree {
   /// Directory entry count (for readdir cost); kNoInode-safe.
   [[nodiscard]] std::size_t entry_count(InodeId dir) const;
 
-  /// Entries of a directory in name order.
-  [[nodiscard]] std::vector<std::pair<std::string, InodeId>> list(
-      InodeId dir) const;
-
   [[nodiscard]] std::size_t inode_count() const noexcept {
     return inodes_.size();
   }

@@ -4,19 +4,6 @@
 
 namespace anufs::metrics {
 
-std::vector<double> Series::values() const {
-  std::vector<double> out;
-  out.reserve(points_.size());
-  for (const auto& [t, v] : points_) out.push_back(v);
-  return out;
-}
-
-double Series::max_value() const {
-  double m = 0.0;
-  for (const auto& [t, v] : points_) m = std::max(m, v);
-  return m;
-}
-
 double Series::tail_mean(double from_fraction) const {
   ANUFS_EXPECTS(from_fraction >= 0.0 && from_fraction <= 1.0);
   if (points_.empty()) return 0.0;

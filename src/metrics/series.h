@@ -31,11 +31,6 @@ class Series {
     return points_;
   }
 
-  [[nodiscard]] std::vector<double> values() const;
-
-  /// Largest value (0 for an empty series).
-  [[nodiscard]] double max_value() const;
-
   /// Mean of values over the tail fraction [from, 1] of samples — used
   /// for "steady state" summaries after convergence.
   [[nodiscard]] double tail_mean(double from_fraction) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
 
 namespace anufs::metrics {
 
@@ -29,18 +28,6 @@ SkewReport load_skew(const std::vector<double>& loads) {
     r.cv = std::sqrt(var / static_cast<double>(loads.size())) / mean;
   }
   return r;
-}
-
-SkewReport normalized_skew(const std::vector<double>& loads,
-                           const std::vector<double>& capacity) {
-  ANUFS_EXPECTS(loads.size() == capacity.size());
-  std::vector<double> normalized;
-  normalized.reserve(loads.size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    ANUFS_EXPECTS(capacity[i] > 0.0);
-    normalized.push_back(loads[i] / capacity[i]);
-  }
-  return load_skew(normalized);
 }
 
 }  // namespace anufs::metrics

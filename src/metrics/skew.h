@@ -17,10 +17,4 @@ struct SkewReport {
 /// Skew of raw (unweighted) loads — e.g. file-set counts per server.
 [[nodiscard]] SkewReport load_skew(const std::vector<double>& loads);
 
-/// Skew of capacity-normalized loads: load_i / capacity_i. Under
-/// heterogeneous servers a balanced system equalizes normalized load,
-/// not raw load.
-[[nodiscard]] SkewReport normalized_skew(const std::vector<double>& loads,
-                                         const std::vector<double>& capacity);
-
 }  // namespace anufs::metrics

@@ -329,22 +329,4 @@ std::vector<Move> PrescientPolicy::on_server_added(ServerId id) {
   return adopt(refine(owners(), total_load()));
 }
 
-double PrescientPolicy::packed_skew(const std::vector<double>& demand) const {
-  std::map<ServerId, double> acc;
-  for (const ServerId id : servers_) acc[id] = 0.0;
-  for (std::size_t fs = 0; fs < owners().size(); ++fs) {
-    acc[owners()[fs]] += demand[fs];
-  }
-  double worst = 0.0;
-  double total_speed = 0.0;
-  double total_demand = 0.0;
-  for (const auto& [id, l] : acc) {
-    worst = std::max(worst, l / speed_of(id));
-    total_demand += l;
-    total_speed += speed_of(id);
-  }
-  const double fair = total_demand / total_speed;
-  return fair == 0.0 ? 0.0 : worst / fair;
-}
-
 }  // namespace anufs::policy

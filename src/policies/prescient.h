@@ -73,10 +73,6 @@ class PrescientPolicy final : public AssignmentPolicyBase {
   std::vector<Move> on_server_failed(ServerId id) override;
   std::vector<Move> on_server_added(ServerId id) override;
 
-  /// Normalized-load skew (max/mean of demand/speed) of the current
-  /// assignment for a demand vector — exposed for tests and Table B.
-  [[nodiscard]] double packed_skew(const std::vector<double>& demand) const;
-
  private:
   /// Per-set knowledge for one time window.
   struct WindowLoad {

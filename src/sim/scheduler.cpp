@@ -6,12 +6,7 @@
 
 namespace anufs::sim {
 
-namespace {
-// Below this many tombstones a compaction pass costs more than it frees.
-constexpr std::size_t kCompactionFloor = 64;
-}  // namespace
-
-EventId Scheduler::schedule_at(SimTime at, Handler fn) {
+void Scheduler::schedule_at(SimTime at, Handler fn) {
   // Rejects NaN too; `at + 0.0` below turns -0.0 (which passes at t = 0)
   // into +0.0, whose bit pattern ranks first rather than last.
   ANUFS_EXPECTS(at >= now_);
@@ -26,16 +21,12 @@ EventId Scheduler::schedule_at(SimTime at, Handler fn) {
   } else {
     slot = grow_pool();
   }
-  const std::uint64_t key = (seq << kSlotBits) | slot;
-  Node& node = nodes_[slot];
-  node.fn = std::move(fn);
-  node.key = key;
+  handlers_[slot] = std::move(fn);
   // anufs-lint: safe(H1) amortized: reserve() pre-sizes to peak pending,
   // steady state stays within capacity.
-  heap_.push_back(Entry{at + 0.0, key});
+  heap_.push_back(Entry{at + 0.0, (seq << kSlotBits) | slot});
   sift_up(heap_.size() - 1, 0);
   stats_.peak_pending = std::max(stats_.peak_pending, pending());
-  return EventId{key};
 }
 
 void Scheduler::set_stream(Handler fn) {
@@ -108,57 +99,17 @@ void Scheduler::pop_top() noexcept {
 }
 
 std::uint32_t Scheduler::grow_pool() {
-  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  const auto slot = static_cast<std::uint32_t>(handlers_.size());
   ANUFS_EXPECTS(slot <= kSlotMask);
-  nodes_.emplace_back();
+  handlers_.emplace_back();
   ++stats_.pool_allocated;
-  ANUFS_TRACE(obs::Category::kSched, "pool_grow", {"slots", nodes_.size()},
+  ANUFS_TRACE(obs::Category::kSched, "pool_grow", {"slots", handlers_.size()},
               {"pending", pending()});
   return slot;
 }
 
-bool Scheduler::cancel(EventId id) {
-  const std::uint32_t slot = slot_of(id.value);
-  if (id.value == kNoEvent || slot >= nodes_.size()) return false;
-  Node& node = nodes_[slot];
-  if (node.key != id.value) return false;  // already fired or cancelled
-  // Eager reclaim: the handler and whatever it captured die here, not
-  // when the tombstone eventually surfaces (which may be never if the
-  // run stops early or the calendar is abandoned). Clearing the slot's
-  // key orphans the heap entry and immediately recycles the slot.
-  node.fn = nullptr;
-  node.key = kNoEvent;
-  // anufs-lint: safe(H1) amortized: the free list never outgrows the
-  // node pool, whose capacity it shares via reserve().
-  free_slots_.push_back(slot);
-  ++tombstones_;
-  ++stats_.cancelled;
-  maybe_compact();
-  return true;
-}
-
-void Scheduler::maybe_compact() {
-  if (tombstones_ < kCompactionFloor) return;
-  if (tombstones_ * 2 < heap_.size()) return;
-  std::erase_if(heap_, [this](const Entry& e) { return is_tombstone(e); });
-  // Bottom-up rebuild: sift down every internal node, last parent first.
-  for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) sift_down(i);
-  tombstones_ = 0;
-  heap_.shrink_to_fit();
-  ++stats_.compactions;
-}
-
-bool Scheduler::skip_cancelled() {
-  while (!heap_.empty()) {
-    if (!is_tombstone(heap_.front())) return true;
-    pop_top();
-    --tombstones_;
-  }
-  return false;
-}
-
 const Scheduler::Entry* Scheduler::earliest() {
-  const Entry* top = skip_cancelled() ? &heap_.front() : nullptr;
+  const Entry* top = heap_.empty() ? nullptr : &heap_.front();
   if (stream_armed() == 0) return top;
   return top == nullptr || Later{}(*top, stream_) ? &stream_ : top;
 }
@@ -174,16 +125,13 @@ void Scheduler::fire(const Entry* e) {
   }
   const std::uint32_t slot = slot_of(e->key);
   pop_top();  // `e` pointed at heap_.front(); it is gone from here on
-  Node& node = nodes_[slot];
-  ANUFS_ENSURES(node.fn != nullptr);
-  Handler fn = std::move(node.fn);
-  node.fn = nullptr;  // moved-from state is unspecified; make it empty
-  node.key = kNoEvent;
+  // exchange, not a bare move: a moved-from std::function is unspecified.
+  Handler fn = std::exchange(handlers_[slot], nullptr);
+  ANUFS_ENSURES(fn != nullptr);
   // Recycle before running: the handler may schedule into this very slot
   // (the common steady-state pattern), reusing it under a new key.
-  // NOTE: fn() may grow nodes_, so `node` must not be touched after this.
   // anufs-lint: safe(H1) amortized: the free list never outgrows the
-  // node pool, whose capacity it shares via reserve().
+  // handler pool, whose capacity it shares via reserve().
   free_slots_.push_back(slot);
   fn();
 }

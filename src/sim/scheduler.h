@@ -18,13 +18,6 @@
 
 namespace anufs::sim {
 
-/// Opaque handle for cancelling a scheduled event: the event's calendar
-/// key, seq << 24 | slot (see Scheduler::Entry).
-struct EventId {
-  std::uint64_t value = 0;
-  friend constexpr bool operator==(EventId, EventId) = default;
-};
-
 /// Single-threaded event calendar.
 ///
 /// Usage:
@@ -32,12 +25,10 @@ struct EventId {
 ///   sched.schedule_in(1.0, [&]{ ... });
 ///   sched.run();                      // until the calendar drains
 ///
-/// Handlers may schedule further events (including at the current time) and
-/// may cancel pending ones. cancel() reclaims the handler (and everything
-/// it captured) immediately; the heap entry itself is a tombstone skipped
-/// lazily, and the heap is compacted whenever tombstones come to dominate
-/// it, so cancel-heavy workloads stay O(live events) in memory even when
-/// the cancelled entries never surface at the top.
+/// Handlers may schedule further events, including at the current time.
+/// The calendar only schedules and fires: nothing withdraws an event once
+/// scheduled (the simulator retires stale completions with an epoch check
+/// in FifoServer instead), so every heap entry is live.
 ///
 /// The stream: one extra event that lives beside the heap, for a chain
 /// whose next link is known when the current one fires (the simulator's
@@ -73,7 +64,7 @@ class Scheduler {
   /// observe reclamation.
   ///
   /// Thread ownership: the counters are plain fields mutated by the
-  /// scheduler's owning thread on every fired/cancelled event — they are
+  /// scheduler's owning thread on every schedule and firing — they are
   /// NOT atomics. stats() therefore returns a by-value snapshot, and
   /// both it and the fields themselves may only be read from the thread
   /// that runs the scheduler (for a parallel sweep: inside the run, or
@@ -81,21 +72,21 @@ class Scheduler {
   /// pattern parallel_runner uses when it copies stats into RunResult).
   struct Stats {
     std::uint64_t fired = 0;       ///< handlers actually run
-    std::uint64_t cancelled = 0;   ///< events cancelled before firing
-    std::uint64_t compactions = 0; ///< tombstone-purge passes over the heap
+    /// Always 0: the calendar cancels nothing. Kept only because the
+    /// end-to-end benchmark (benchmark/src/sim_workloads.cpp) reads it
+    /// for sim.events_cancelled; it goes when that reader does.
+    std::uint64_t cancelled = 0;
     std::size_t peak_pending = 0;  ///< high-water mark of pending()
-    std::uint64_t pool_allocated = 0;  ///< event nodes freshly allocated
+    std::uint64_t pool_allocated = 0;  ///< pool slots freshly allocated
     std::uint64_t pool_recycled = 0;   ///< schedules served from the free list
     // Pool composition AT SNAPSHOT TIME, filled by stats() in the same
     // read as the cumulative counters above so the "allocates nothing"
     // assertions can check conservation (pool_size == pool_free +
     // pending - stream_armed: the stream event is pending but holds no
-    // pool slot) instead of re-reading the free list in a separate call —
-    // a second read may interleave with a cancel's eager reclaim or a
-    // compaction and see the counters and the free-list head disagree.
-    std::size_t pool_size = 0;  ///< nodes ever allocated (pool high-water)
+    // pool slot) from one snapshot.
+    std::size_t pool_size = 0;  ///< slots ever allocated (pool high-water)
     std::size_t pool_free = 0;  ///< slots on the free list right now
-    std::size_t pending = 0;    ///< live (un-fired, un-cancelled) events
+    std::size_t pending = 0;    ///< scheduled, not yet fired events
     std::size_t stream_armed = 0;  ///< 1 while the stream event is pending
   };
 
@@ -103,9 +94,9 @@ class Scheduler {
   /// events run.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Number of events scheduled but not yet fired or cancelled.
+  /// Number of events scheduled but not yet fired.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - tombstones_ + stream_armed();
+    return heap_.size() + stream_armed();
   }
 
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
@@ -119,33 +110,31 @@ class Scheduler {
   /// hands the snapshot to another thread. The pool-composition fields
   /// are captured in the same call as the cumulative counters, so the
   /// conservation law pool_size == pool_free + pending - stream_armed
-  /// holds in every snapshot — including one taken mid-compaction,
-  /// because compaction rewrites only the heap's tombstones, never the
-  /// node pool.
+  /// holds in every snapshot.
   [[nodiscard]] Stats stats() const noexcept {
     Stats s = stats_;
-    s.pool_size = nodes_.size();
+    s.pool_size = handlers_.size();
     s.pool_free = free_slots_.size();
     s.pending = pending();
     s.stream_armed = stream_armed();
     return s;
   }
 
-  /// Pre-size the calendar and the node pool for an expected peak of
+  /// Pre-size the calendar and the handler pool for an expected peak of
   /// concurrently pending events (optional; the pool grows on demand).
   void reserve(std::size_t events) {
     heap_.reserve(events);
-    nodes_.reserve(events);
+    handlers_.reserve(events);
     free_slots_.reserve(events);
   }
 
   /// Schedule `fn` at absolute simulated time `at` (>= now()).
-  ANUFS_HOT EventId schedule_at(SimTime at, Handler fn);
+  ANUFS_HOT void schedule_at(SimTime at, Handler fn);
 
   /// Schedule `fn` `delay` seconds from now (delay >= 0).
-  ANUFS_HOT EventId schedule_in(SimDuration delay, Handler fn) {
+  ANUFS_HOT void schedule_in(SimDuration delay, Handler fn) {
     ANUFS_EXPECTS(delay >= 0.0);
-    return schedule_at(now_ + delay, std::move(fn));
+    schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Install the stream's handler (see the class comment). Cold: called
@@ -155,11 +144,6 @@ class Scheduler {
   /// Arm the stream to fire at absolute time `at` (>= now()). The stream
   /// must be installed and not already armed.
   ANUFS_HOT void stream_at(SimTime at);
-
-  /// Cancel a pending event. Returns false if the event already fired or
-  /// was already cancelled. The handler — and any state it captured — is
-  /// released before this returns.
-  ANUFS_HOT bool cancel(EventId id);
 
   /// Run events until the calendar is empty.
   void run();
@@ -176,23 +160,15 @@ class Scheduler {
 
  private:
   // An entry's key packs its schedule sequence over its pool slot:
-  // seq << kSlotBits | slot. Sequences are unique and start at 1, so a
-  // key names one scheduling forever and no live key is kNoEvent.
-  // Comparing keys compares seqs, since seq fills the high bits.
+  // seq << kSlotBits | slot. Sequences are unique and start at 1, so no
+  // pending key is kNoEvent. Comparing keys compares seqs, since seq
+  // fills the high bits.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask =
       (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
   static constexpr std::uint64_t kNoEvent = 0;
 
-  // One pooled handler slot. `key` is the key of the slot's pending
-  // entry, or kNoEvent once it fired or was cancelled, so a heap Entry
-  // or EventId from an earlier scheduling never resolves to a recycled
-  // slot's new handler.
-  struct Node {
-    Handler fn;
-    std::uint64_t key = kNoEvent;
-  };
   // 16 bytes: a 4-ary node's children fill one 64-byte line.
   struct Entry {
     SimTime time;
@@ -216,9 +192,6 @@ class Scheduler {
       std::uint64_t key) noexcept {
     return static_cast<std::uint32_t>(key & kSlotMask);
   }
-  [[nodiscard]] bool is_tombstone(const Entry& e) const noexcept {
-    return nodes_[slot_of(e.key)].key != e.key;
-  }
 
   // 4-ary heap primitives over heap_, earliest entry at index 0 (the
   // children of i are 4i+1 .. 4i+4). sift_up moves the entry at `i` up,
@@ -228,8 +201,6 @@ class Scheduler {
   ANUFS_HOT void sift_up(std::size_t i, std::size_t top) noexcept;
   ANUFS_HOT void sift_down(std::size_t i) noexcept;
   ANUFS_HOT void pop_top() noexcept;
-  // Pops cancelled entries off the heap top; returns false if drained.
-  ANUFS_HOT bool skip_cancelled();
   [[nodiscard]] std::size_t stream_armed() const noexcept {
     return stream_.key != kNoEvent ? 1 : 0;
   }
@@ -238,10 +209,6 @@ class Scheduler {
   ANUFS_HOT const Entry* earliest();
   // Fire `e`, an entry earliest() returned.
   ANUFS_HOT void fire(const Entry* e);
-  // Purges tombstones from the whole heap once they dominate it. (time,
-  // seq) is a strict total order, so rebuilding the heap cannot change
-  // the firing order — determinism is preserved across compaction.
-  ANUFS_COLD void maybe_compact();
   // Slow path of schedule_at: allocate a fresh pool slot because the
   // free list is empty (the pool has not yet grown to this run's peak
   // concurrency). Cold: steady state recycles, never allocates.
@@ -250,19 +217,18 @@ class Scheduler {
   SimTime now_ = kTimeZero;
   std::uint64_t next_seq_ = 1;
   Stats stats_;
-  // 4-ary min-heap in Later order, managed by sift_up/sift_down (rather
-  // than std::priority_queue) so maybe_compact() can rebuild it in place.
-  // At simulator depths (tens of thousands pending) the wider fan-out
-  // halves the levels a pop walks, and a node's four children are
-  // contiguous, so the extra comparisons cost few extra cache misses.
+  // 4-ary min-heap in Later order, managed by sift_up/sift_down rather
+  // than std::priority_queue. At simulator depths (tens of thousands
+  // pending) the wider fan-out halves the levels a pop walks, and a
+  // node's four children are contiguous, so the extra comparisons cost
+  // few extra cache misses.
   std::vector<Entry> heap_;
   // Slot pool: handlers stored out of the heap so Entry stays trivially
   // copyable, recycled through free_slots_ so steady state allocates
-  // nothing. tombstones_ counts heap entries whose slot key moved on
-  // (cancelled, by the eager-reclaim rule in cancel()).
-  std::vector<Node> nodes_;
+  // nothing. A slot is freed only when its entry pops, so every heap
+  // entry names the handler it was scheduled with.
+  std::vector<Handler> handlers_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t tombstones_ = 0;
   // The stream: its handler, and its pending entry (key seq << kSlotBits,
   // slot bits unused), or key kNoEvent while disarmed.
   Handler stream_fn_;

@@ -10,12 +10,6 @@ std::vector<std::uint64_t> Workload::per_set_counts() const {
   return counts;
 }
 
-std::vector<double> Workload::per_set_demand() const {
-  std::vector<double> demand(file_sets.size(), 0.0);
-  for (const RequestEvent& r : requests) demand[r.file_set.value] += r.demand;
-  return demand;
-}
-
 double Workload::activity_skew() const {
   const std::vector<std::uint64_t> counts = per_set_counts();
   std::uint64_t mx = 0;

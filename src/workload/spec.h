@@ -57,9 +57,6 @@ struct Workload {
   /// Requests per file set (index == FileSetId).
   [[nodiscard]] std::vector<std::uint64_t> per_set_counts() const;
 
-  /// Total unit-speed demand per file set.
-  [[nodiscard]] std::vector<double> per_set_demand() const;
-
   /// Ratio of the busiest to the quietest (nonzero) file set by request
   /// count — the heterogeneity headline the paper quotes (>100x).
   [[nodiscard]] double activity_skew() const;

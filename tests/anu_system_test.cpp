@@ -182,6 +182,42 @@ TEST(AnuSystem, GrowingClusterKeepsInvariants) {
   EXPECT_EQ(system.alive().size(), 40u);
 }
 
+TEST(Replication, StateSizeScalesWithServersNotFileSets) {
+  // The paper's scalability claim (§5): the state every server needs is
+  // one record per occupied partition, so it depends only on servers and
+  // partitions, regardless of how many file sets exist.
+  std::vector<ServerId> alive = ids(5);
+  AnuSystem system{AnuConfig{}, alive};
+  // A couple of skewed rounds so the state is non-trivial.
+  std::vector<ServerReport> reports;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    reports.push_back(ServerReport{ServerId{i}, 0.01 * (i + 1) * (i + 1),
+                                   100});
+  }
+  (void)system.reconfigure(reports);
+  (void)system.reconfigure(reports);
+  const auto before = system.regions().dump();
+  EXPECT_LE(before.size(), system.regions().space().count());
+  // 5 servers, 16 partitions.
+  EXPECT_LE(system.regions().space().count(), 16u);
+  // Routing a great many file sets adds nothing to that state.
+  sim::Xoshiro256 rng{77};
+  for (int i = 0; i < 20000; ++i) (void)system.locate(rng());
+  const auto after = system.regions().dump();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].index, before[i].index);
+    EXPECT_EQ(after[i].owner, before[i].owner);
+    EXPECT_EQ(after[i].fill, before[i].fill);
+  }
+  // Growing the cluster grows the state with the servers.
+  for (std::uint32_t id = 5; id < 40; ++id) {
+    system.add_server(ServerId{id});
+    EXPECT_LE(system.regions().dump().size(),
+              system.regions().space().count());
+  }
+}
+
 TEST(AnuSystem, ShrinkingClusterKeepsInvariants) {
   AnuSystem system{AnuConfig{}, ids(16)};
   for (std::uint32_t id = 15; id >= 1; --id) {

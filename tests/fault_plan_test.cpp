@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "support/random_fault_plan.h"
+
 namespace anufs::fault {
 namespace {
 

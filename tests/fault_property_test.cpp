@@ -19,6 +19,7 @@
 #include "driver/parallel_runner.h"
 #include "driver/scenario.h"
 #include "fault/fault_plan.h"
+#include "support/random_fault_plan.h"
 #include "policies/registry.h"
 #include "sim/thread_pool.h"
 

@@ -18,16 +18,6 @@ TEST(Series, AppendAndRead) {
   s.append(60.0, 2.0);
   EXPECT_EQ(s.size(), 2u);
   EXPECT_EQ(s.points()[1], (std::pair<double, double>{60.0, 2.0}));
-  EXPECT_EQ(s.values(), (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(Series, MaxValue) {
-  Series s;
-  EXPECT_DOUBLE_EQ(s.max_value(), 0.0);
-  s.append(0.0, 3.0);
-  s.append(1.0, 7.0);
-  s.append(2.0, 5.0);
-  EXPECT_DOUBLE_EQ(s.max_value(), 7.0);
 }
 
 TEST(Series, TailMean) {
@@ -110,19 +100,6 @@ TEST(Skew, DetectsImbalance) {
 TEST(Skew, EmptyIsZeros) {
   const SkewReport r = load_skew({});
   EXPECT_DOUBLE_EQ(r.max_over_mean, 0.0);
-}
-
-TEST(Skew, NormalizedByCapacity) {
-  // Loads proportional to capacity are perfectly balanced.
-  const SkewReport r = normalized_skew({1, 3, 5}, {1, 3, 5});
-  EXPECT_DOUBLE_EQ(r.max_over_mean, 1.0);
-  EXPECT_DOUBLE_EQ(r.cv, 0.0);
-}
-
-TEST(Skew, NormalizedDetectsMisfit) {
-  // Heavy load on the weak server shows up after normalization.
-  const SkewReport r = normalized_skew({5, 3, 1}, {1, 3, 5});
-  EXPECT_GT(r.max_over_mean, 2.0);
 }
 
 TEST(Emit, BundleFormat) {

@@ -146,19 +146,6 @@ TEST(NamespaceTree, SetAttrOnDirectoryFails) {
   EXPECT_EQ(tree.set_attr("d", 1, 1).status, OpStatus::kIsDirectory);
 }
 
-TEST(NamespaceTree, ListIsSortedAndComplete) {
-  NamespaceTree tree;
-  (void)tree.create("b", FileType::kFile);
-  (void)tree.create("a", FileType::kFile);
-  (void)tree.create("c", FileType::kDirectory);
-  const auto entries = tree.list(kRootInode);
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, "a");
-  EXPECT_EQ(entries[1].first, "b");
-  EXPECT_EQ(entries[2].first, "c");
-  EXPECT_EQ(tree.entry_count(kRootInode), 3u);
-}
-
 TEST(NamespaceTree, MutationBumpsParentMtime) {
   NamespaceTree tree;
   const std::uint64_t before = tree.attributes(kRootInode)->mtime;

@@ -172,6 +172,22 @@ TEST(PairwiseTuner, AnuSystemIntegration) {
   system.check_invariants();
 }
 
+TEST(PairwiseTuner, CrashForgetsRememberedLatency) {
+  // A crashed server loses its local latency memory: once it is back, a
+  // hot report is judged on its own, not against its pre-crash latency
+  // (against which 5.0 would read as "still draining" and hold it back).
+  core::AnuConfig config;
+  config.mode = TunerMode::kDecentralizedPairwise;
+  AnuSystem system{config,
+                   {ServerId{0}, ServerId{1}, ServerId{2}, ServerId{3}}};
+  (void)system.reconfigure(reports_of({0.1, 0.1, 10.0, 0.1}));
+  system.fail_server(ServerId{2});
+  system.add_server(ServerId{2});
+  const Measure before = system.regions().share(ServerId{2});
+  (void)system.reconfigure(reports_of({0.1, 0.1, 5.0, 0.1}));
+  EXPECT_LT(system.regions().share(ServerId{2}), before);
+}
+
 TEST(PairwiseTuner, NoCentralStateAcrossInstances) {
   // Two tuner instances given the same inputs at the same round produce
   // identical decisions: the protocol has no hidden coordinator state.

@@ -36,7 +36,6 @@ void expect_identical(const cluster::RunResult& a,
   EXPECT_EQ(a.moves, b.moves);
   EXPECT_EQ(a.forwarded, b.forwarded);
   EXPECT_EQ(a.engine.fired, b.engine.fired);
-  EXPECT_EQ(a.engine.cancelled, b.engine.cancelled);
   // Exact floating-point equality, not near: identical event order must
   // produce identical arithmetic.
   EXPECT_EQ(a.mean_latency, b.mean_latency);

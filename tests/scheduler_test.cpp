@@ -1,12 +1,11 @@
-// Tests for the discrete-event scheduler: ordering, determinism,
-// cancellation, horizons.
+// Tests for the discrete-event scheduler: ordering, determinism, the
+// handler pool, the stream, horizons.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <set>
 #include <utility>
@@ -72,36 +71,12 @@ TEST(Scheduler, HandlerMayScheduleAtCurrentTime) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Scheduler, CancelPreventsFiring) {
+TEST(Scheduler, PendingCountsUnfired) {
   Scheduler sched;
-  bool fired = false;
-  const EventId id = sched.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  sched.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sched.fired(), 0u);
-}
-
-TEST(Scheduler, CancelTwiceReturnsFalse) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_FALSE(sched.cancel(id));
-}
-
-TEST(Scheduler, CancelAfterFireReturnsFalse) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  sched.run();
-  EXPECT_FALSE(sched.cancel(id));
-}
-
-TEST(Scheduler, PendingCountsUnfiredUncancelled) {
-  Scheduler sched;
-  const EventId a = sched.schedule_at(1.0, [] {});
+  sched.schedule_at(1.0, [] {});
   sched.schedule_at(2.0, [] {});
   EXPECT_EQ(sched.pending(), 2u);
-  sched.cancel(a);
+  EXPECT_TRUE(sched.step());
   EXPECT_EQ(sched.pending(), 1u);
 }
 
@@ -162,91 +137,33 @@ TEST(Scheduler, FiredCounterTracksHandlers) {
   EXPECT_EQ(sched.fired(), 7u);
 }
 
-TEST(Scheduler, CancelFromWithinHandler) {
+TEST(Scheduler, StatsTrackFiredAndPeak) {
   Scheduler sched;
-  bool late_fired = false;
-  const EventId late = sched.schedule_at(5.0, [&] { late_fired = true; });
-  sched.schedule_at(1.0, [&] { sched.cancel(late); });
-  sched.run();
-  EXPECT_FALSE(late_fired);
-}
-
-TEST(Scheduler, CancelReclaimsHandlerStateImmediately) {
-  // The handler (and everything it captured) must die inside cancel(),
-  // not when the tombstone eventually surfaces at the heap top — which
-  // is never if the calendar is abandoned or run_until stops early.
-  Scheduler sched;
-  auto payload = std::make_shared<int>(7);
-  const EventId id = sched.schedule_at(1.0, [payload] { (void)*payload; });
-  EXPECT_EQ(payload.use_count(), 2);
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_EQ(payload.use_count(), 1);  // released without running anything
-}
-
-TEST(Scheduler, CancelHeavyWorkloadCompactsHeap) {
-  Scheduler sched;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 2000; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
-  }
-  for (int i = 0; i < 2000; ++i) {
-    if (i % 4 != 0) EXPECT_TRUE(sched.cancel(ids[static_cast<size_t>(i)]));
-  }
-  EXPECT_EQ(sched.pending(), 500u);
-  EXPECT_GE(sched.stats().compactions, 1u);
-  EXPECT_EQ(sched.stats().cancelled, 1500u);
-  sched.run();
-  EXPECT_EQ(sched.fired(), 500u);
-  EXPECT_TRUE(sched.empty());
-}
-
-TEST(Scheduler, StatsTrackFiredCancelledPeak) {
-  Scheduler sched;
-  const EventId a = sched.schedule_at(1.0, [] {});
+  sched.schedule_at(1.0, [] {});
   sched.schedule_at(2.0, [] {});
   sched.schedule_at(3.0, [] {});
   EXPECT_EQ(sched.stats().peak_pending, 3u);
-  sched.cancel(a);
   sched.run();
-  EXPECT_EQ(sched.stats().fired, 2u);
-  EXPECT_EQ(sched.stats().cancelled, 1u);
+  EXPECT_EQ(sched.stats().fired, 3u);
   EXPECT_EQ(sched.stats().peak_pending, 3u);
 }
 
-TEST(Scheduler, SameTimeOrderSurvivesCompaction) {
-  // Interleave survivors and cancellations at one instant; the purge
-  // rebuilds the heap, which must not perturb the (time, seq) order.
-  Scheduler sched;
-  std::vector<int> order;
-  std::vector<EventId> doomed;
-  for (int i = 0; i < 200; ++i) {
-    sched.schedule_at(1.0, [&order, i] { order.push_back(i); });
-    doomed.push_back(sched.schedule_at(1.0, [] {}));
-  }
-  for (const EventId id : doomed) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_GE(sched.stats().compactions, 1u);
-  sched.run();
-  ASSERT_EQ(order.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(Scheduler, RunUntilHorizonBoundaryAfterCompaction) {
+TEST(Scheduler, RunUntilHorizonBoundaryAfterABacklog) {
   Scheduler sched;
   std::vector<int> fired;
-  std::vector<EventId> doomed;
   for (int i = 0; i < 100; ++i) {
-    doomed.push_back(sched.schedule_at(0.5, [] {}));
+    sched.schedule_at(0.5, [&] { fired.push_back(0); });
   }
   sched.schedule_at(2.0, [&] { fired.push_back(1); });
   sched.schedule_at(2.0, [&] { fired.push_back(2); });
-  const EventId past = sched.schedule_at(2.5, [&] { fired.push_back(99); });
-  for (const EventId id : doomed) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_GE(sched.stats().compactions, 1u);
+  sched.schedule_at(2.5, [&] { fired.push_back(99); });
   sched.run_until(2.0);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));  // horizon events fire in order
+  ASSERT_EQ(fired.size(), 102u);
+  // The horizon's own events fire last, in schedule order.
+  EXPECT_EQ(fired[100], 1);
+  EXPECT_EQ(fired[101], 2);
   EXPECT_EQ(sched.now(), 2.0);
   EXPECT_EQ(sched.pending(), 1u);
-  EXPECT_TRUE(sched.cancel(past));
 }
 
 TEST(Scheduler, RunUntilFiresHandlerScheduledAtHorizonByHorizonHandler) {
@@ -258,41 +175,6 @@ TEST(Scheduler, RunUntilFiresHandlerScheduledAtHorizonByHorizonHandler) {
   });
   sched.run_until(2.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Scheduler, AbandonedCalendarReleasesCancelledState) {
-  // Cancel everything, never run: pending() must report empty and the
-  // cancelled ids must have been reclaimed by compaction (not retained
-  // until a drain that never happens).
-  Scheduler sched;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
-  }
-  for (const EventId id : ids) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_TRUE(sched.empty());
-  EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_GE(sched.stats().compactions, 1u);
-  sched.run();
-  EXPECT_EQ(sched.fired(), 0u);
-}
-
-TEST(Scheduler, DeterministicOrderWithCancellationAndCompaction) {
-  const auto run_once = [] {
-    Scheduler sched;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 600; ++i) {
-      ids.push_back(sched.schedule_at((i * 7919) % 100,
-                                      [&order, i] { order.push_back(i); }));
-    }
-    for (int i = 0; i < 600; i += 3) {
-      sched.cancel(ids[static_cast<size_t>(i)]);
-    }
-    sched.run();
-    return order;
-  };
-  EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Scheduler, SteadyStateRecyclesSlotsInsteadOfAllocating) {
@@ -312,49 +194,6 @@ TEST(Scheduler, SteadyStateRecyclesSlotsInsteadOfAllocating) {
   EXPECT_EQ(stats.pool_recycled, 792u);
 }
 
-TEST(Scheduler, CancelledSlotsReturnToThePool) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  sched.schedule_at(2.0, [] {});
-  const Scheduler::Stats stats = sched.stats();
-  EXPECT_EQ(stats.pool_allocated, 1u);
-  EXPECT_EQ(stats.pool_recycled, 1u);
-}
-
-TEST(Scheduler, StaleIdCannotCancelARecycledSlot) {
-  // After `first` fires, its slot returns to the pool and the next
-  // schedule reuses it — under a fresh key, so the stale id must
-  // neither cancel the new event nor be reported as cancellable.
-  Scheduler sched;
-  const EventId first = sched.schedule_at(1.0, [] {});
-  sched.run();
-  bool second_fired = false;
-  const EventId second =
-      sched.schedule_at(2.0, [&second_fired] { second_fired = true; });
-  EXPECT_NE(first.value, second.value);
-  EXPECT_FALSE(sched.cancel(first));
-  sched.run();
-  EXPECT_TRUE(second_fired);
-  EXPECT_EQ(sched.stats().pool_recycled, 1u);
-}
-
-TEST(Scheduler, DefaultEventIdCancelsNothing) {
-  // A default EventId (value 0) names slot 0, and a slot with no pending
-  // event also holds key 0, so cancel() must refuse it explicitly: an
-  // idle slot must not be "cancelled" onto the free list a second time.
-  Scheduler sched;
-  bool fired = false;
-  sched.schedule_at(1.0, [&fired] { fired = true; });
-  EXPECT_FALSE(sched.cancel(EventId{}));
-  sched.run();
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(sched.cancel(EventId{}));
-  const Scheduler::Stats stats = sched.stats();
-  EXPECT_EQ(stats.cancelled, 0u);
-  EXPECT_EQ(stats.pool_free, stats.pool_size);
-}
-
 TEST(Scheduler, ReservePreSizesWithoutAllocatingNodes) {
   Scheduler sched;
   sched.reserve(64);
@@ -365,19 +204,15 @@ TEST(Scheduler, ReservePreSizesWithoutAllocatingNodes) {
   EXPECT_EQ(sched.fired(), 1u);
 }
 
-TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
-  // Regression: the pool counters used to be readable only alongside a
-  // SEPARATE read of the free list, so an assertion could observe the
-  // cumulative counters and the free-list head from different moments
-  // (e.g. one taken mid-cancel-storm, after the eager reclaim but with
-  // a pre-compaction snapshot of the counters). stats() now captures
-  // pool composition and counters in one call, so the conservation law
-  // pool_size == pool_free + pending must hold in EVERY snapshot —
-  // before, during, and after the storm that triggers compaction.
+TEST(Scheduler, StatsSnapshotConservesPoolAcrossSchedulingStorm) {
+  // stats() captures pool composition and the cumulative counters in one
+  // call, so the conservation law must hold in EVERY snapshot: while the
+  // storm schedules, while its handlers schedule follow-ups into freshly
+  // recycled slots, and after the drain.
   //
   // The stream event is pending but holds no pool slot, so the law reads
   // pool_size == pool_free + pending - stream_armed; the stream stays
-  // armed through the scheduling and the storm below.
+  // armed through the scheduling and part of the storm below.
   Scheduler sched;
   const auto check = [&sched](const char* where) {
     const Scheduler::Stats s = sched.stats();
@@ -396,31 +231,31 @@ TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
   EXPECT_EQ(sched.stats().stream_armed, 1u);
   check("stream armed");
 
-  std::vector<EventId> ids;
+  // Every fourth event schedules two follow-ups when it fires, so the
+  // storm both recycles slots and grows the pool past its first peak.
+  std::uint64_t follow_ups = 0;
   for (int i = 0; i < 200; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
+    sched.schedule_at(1.0 + i, [&sched, &follow_ups, i] {
+      if (i % 4 != 0) return;
+      for (int k = 0; k < 2; ++k) {
+        sched.schedule_in(0.5 * (k + 1), [&follow_ups] { ++follow_ups; });
+      }
+    });
     check("scheduling");
   }
-  // Cancel from the back: tombstones pile up until compaction fires
-  // (floor 64, majority rule) while the snapshot stays conserved on
-  // every single step, including the cancel that triggers it.
-  for (int i = 199; i >= 40; --i) {
-    ASSERT_TRUE(sched.cancel(ids[static_cast<std::size_t>(i)]));
-    check("cancelling");
-  }
-  EXPECT_GT(sched.stats().compactions, 0u);
+  while (sched.step()) check("firing");
 
-  // Steady state: fire everything; every fired slot returns to the
-  // free list, so the pool drains to fully-free.
-  sched.run();
   check("drained");
   const Scheduler::Stats end = sched.stats();
   EXPECT_EQ(end.pending, 0u);
   EXPECT_EQ(end.stream_armed, 0u);
   EXPECT_EQ(end.pool_free, end.pool_size);
   EXPECT_EQ(stream_fires, 3u);
-  EXPECT_EQ(end.fired, 40u + stream_fires);
-  EXPECT_EQ(end.cancelled, 160u);
+  EXPECT_EQ(follow_ups, 100u);
+  EXPECT_EQ(end.fired, 200u + follow_ups + stream_fires);
+  EXPECT_GT(end.pool_allocated, 200u);
+  EXPECT_EQ(end.pool_allocated + end.pool_recycled, 200u + follow_ups);
+  EXPECT_EQ(end.cancelled, 0u);
 }
 
 TEST(Scheduler, ManyEventsDeterministicOrder) {
@@ -441,16 +276,14 @@ TEST(Scheduler, ManyEventsDeterministicOrder) {
 // public operation, checked event by event against a std::set of
 // (time, seq) — the order the scheduler promises. The calendar grows
 // past 4, 16, 64 and 4096 pending (the first levels of a 4-ary heap and
-// a deep one), many events share an instant, and a cancel storm forces
-// compaction.
+// a deep one), and many events share an instant.
 //
 // With the stream on, the stream event joins the same reference set
 // under the seq stream_at takes. Handlers re-arm the stream and schedule
-// heap events at their own instant in both seq orders, cancels and
-// compactions run while it is armed, run_until sometimes stops exactly
-// at its time, and fired, pending(), peak_pending and the pool
-// conservation law are checked against the reference after every
-// operation.
+// heap events at their own instant in both seq orders, run_until
+// sometimes stops exactly at its time, and fired, pending(), peak_pending
+// and the pool conservation law are checked against the reference after
+// every operation.
 class OrderOracle {
  public:
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -470,17 +303,6 @@ class OrderOracle {
     }
   }
 
-  // Cancels live events until at most `target` remain (the stream event,
-  // which cannot be cancelled, arms first so the storm runs beside it).
-  void cancel_storm(std::size_t target) {
-    if (with_stream_) arm_stream(stream_delay());
-    while (sched_.pending() > target + stream_count()) {
-      prune_scheduled();
-      cancel_random();
-      check_counters();
-    }
-  }
-
   void drain() {
     sched_.run();
     check(expected_.empty());
@@ -496,8 +318,6 @@ class OrderOracle {
     const std::uint64_t r = rng_() % 20;
     if (r < 12) {
       schedule(r % 2 == 0);
-    } else if (r < 15) {
-      cancel_random();
     } else {
       step();
     }
@@ -510,8 +330,6 @@ class OrderOracle {
     const std::uint64_t r = rng_() % 20;
     if (r < 2) {
       schedule(r % 2 == 0);
-    } else if (r < 8) {
-      cancel_random();
     } else if (r < 17) {
       step();
     } else if (stream_armed_ && rng_() % 2 == 0) {
@@ -541,10 +359,12 @@ class OrderOracle {
   void schedule(bool absolute, SimDuration delay) {
     const Key key{sched_.now() + delay, next_seq_++};
     auto handler = [this, key] { fire(key); };
-    const EventId id = absolute ? sched_.schedule_at(key.first, handler)
-                                : sched_.schedule_in(delay, handler);
+    if (absolute) {
+      sched_.schedule_at(key.first, handler);
+    } else {
+      sched_.schedule_in(delay, handler);
+    }
     insert(key);
-    scheduled_.emplace_back(id, key);
   }
 
   // Arms the stream `delay` from now unless it is already armed.
@@ -612,13 +432,6 @@ class OrderOracle {
     }
   }
 
-  void cancel_random() {
-    if (scheduled_.empty()) return;
-    const auto& [id, key] = scheduled_[rng_() % scheduled_.size()];
-    check(sched_.cancel(id) == expected_.contains(key));
-    expected_.erase(key);
-  }
-
   void step() {
     const bool had_events = !expected_.empty();
     check(sched_.step() == had_events);
@@ -628,14 +441,6 @@ class OrderOracle {
     sched_.run_until(horizon);
     check(sched_.now() == horizon);
     check(expected_.empty() || expected_.begin()->first > horizon);
-  }
-
-  // Keeps cancel targets mostly live once the calendar is large.
-  void prune_scheduled() {
-    if (scheduled_.size() <= 2 * expected_.size() + 64) return;
-    std::erase_if(scheduled_, [this](const std::pair<EventId, Key>& e) {
-      return !expected_.contains(e.second);
-    });
   }
 
   [[nodiscard]] std::size_t stream_count() const {
@@ -658,7 +463,6 @@ class OrderOracle {
   const bool with_stream_;
   Scheduler sched_;
   std::set<Key> expected_;
-  std::vector<std::pair<EventId, Key>> scheduled_;
   bool stream_armed_ = false;
   Key stream_key_{};
   std::uint64_t next_seq_ = 0;
@@ -673,7 +477,7 @@ void drive_oracle(OrderOracle& oracle) {
   for (const std::size_t target : {5u, 3u, 17u, 15u, 65u, 63u, 4097u}) {
     oracle.drive_to(target);
   }
-  oracle.cancel_storm(1000);
+  oracle.drive_to(1000);
   for (const std::size_t target : {4097u, 300u, 70u, 20u, 3u, 0u}) {
     oracle.drive_to(target);
   }
@@ -686,8 +490,6 @@ TEST(Scheduler, FiringOrderMatchesOrderedSetOracle) {
   EXPECT_EQ(oracle.mismatches(), 0u);
   const Scheduler::Stats stats = oracle.sched().stats();
   EXPECT_GE(stats.peak_pending, 4097u);
-  EXPECT_GE(stats.compactions, 1u);
-  EXPECT_GT(stats.cancelled, 3000u);
 }
 
 TEST(Scheduler, StreamAndHeapFiringOrderMatchesOrderedSetOracle) {
@@ -697,8 +499,6 @@ TEST(Scheduler, StreamAndHeapFiringOrderMatchesOrderedSetOracle) {
   EXPECT_GT(oracle.stream_fired(), 200u);
   const Scheduler::Stats stats = oracle.sched().stats();
   EXPECT_GE(stats.peak_pending, 4097u);
-  EXPECT_GE(stats.compactions, 1u);
-  EXPECT_GT(stats.cancelled, 3000u);
 }
 
 TEST(Scheduler, StreamTakesItsSeqWhereScheduleAtWould) {

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "fault/fault_plan.h"
+#include "support/random_fault_plan.h"
 #include "serve/epoch.h"
 #include "serve/lookup_service.h"
 #include "serve/snapshot.h"
