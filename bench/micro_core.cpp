@@ -296,35 +296,11 @@ void BM_FifoServerThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FifoServerThroughput)->Arg(1)->Arg(16)->Arg(256);
 
-// Steady-state retune: the same report set against an unmoved map,
-// round after round — the common case of a converged cluster. With
-// nothing changed, cost is the memo check (one O(n) bitwise report
-// compare at memory-bandwidth constants) plus returning the stored
-// decision — no history update, no renormalization, no map walk.
+// One tuning round: every server's measurement moved since the last
+// round (two report sets alternate, as real reports never repeat bit
+// for bit), so each call is the tuner's O(n) computation with dense
+// per-server lookups.
 void BM_Retune(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::vector<ServerId> servers;
-  for (std::uint32_t i = 0; i < n; ++i) servers.push_back(ServerId{i});
-  core::AnuSystem system{core::AnuConfig{}, servers};
-  sim::Xoshiro256 rng{5};
-  std::vector<core::ServerReport> reports;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    reports.push_back(core::ServerReport{
-        ServerId{i}, 0.01 + 0.05 * rng.next_double(), 100 + i});
-  }
-  core::LatencyTuner tuner{core::TunerConfig{}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tuner.retune(reports, system.regions()));
-  }
-}
-BENCHMARK(BM_Retune)->Arg(5)->Arg(64)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Arg(4096);
-
-// Worst-case retune: EVERY server's measurement moved since the last
-// round (two report sets alternated so the unchanged-round memo can
-// never serve), forcing the full recompute. This bounds the slow lane:
-// O(n) with dense per-server lookups.
-void BM_RetuneChanged(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<ServerId> servers;
   for (std::uint32_t i = 0; i < n; ++i) servers.push_back(ServerId{i});
@@ -346,7 +322,8 @@ void BM_RetuneChanged(benchmark::State& state) {
     flip = !flip;
   }
 }
-BENCHMARK(BM_RetuneChanged)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_Retune)->Arg(5)->Arg(64)->Arg(512)->Arg(1024)->Arg(2048)
+    ->Arg(4096);
 
 void BM_Rebalance(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

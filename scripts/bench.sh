@@ -17,8 +17,7 @@
 #   ./scripts/bench.sh --quick                  # smoke settings (CI)
 #   ./scripts/bench.sh --control-plane          # re-measure only the
 #                                               # control-plane group
-#                                               # (BM_Retune/{64,512,4096},
-#                                               # BM_RetuneChanged, rebalance,
+#                                               # (BM_Retune, rebalance,
 #                                               # churn) and merge it into an
 #                                               # existing BENCH_core.json
 #                                               # without re-running the sweep
@@ -84,11 +83,9 @@ while [ $# -gt 0 ]; do
 done
 
 # jq fragment shared by both modes: google-benchmark JSON -> name-keyed
-# map, plus the control-plane summary group. BM_Retune is the
-# steady-state (unchanged-round) path, BM_RetuneChanged the forced full
-# recompute; the 512/64 ratio is the scaling check — the old full walk
-# put it near 20x (tree constants on top of 8x servers), the memo's
-# bitwise compare keeps it at the ~6-7x of pure memory bandwidth.
+# map, plus the control-plane summary group. BM_Retune is one tuning
+# round over fresh reports; the 512/64 ratio is the scaling check (8x
+# the servers should cost no more than ~8x).
 JQ_BENCH='
   ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
                                          cpu_ns: .cpu_time,
@@ -99,11 +96,6 @@ JQ_BENCH='
       "64":   $bench["BM_Retune/64"].time_ns,
       "512":  $bench["BM_Retune/512"].time_ns,
       "4096": $bench["BM_Retune/4096"].time_ns
-    },
-    retune_changed_ns: {
-      "64":   $bench["BM_RetuneChanged/64"].time_ns,
-      "512":  $bench["BM_RetuneChanged/512"].time_ns,
-      "4096": $bench["BM_RetuneChanged/4096"].time_ns
     },
     retune_512_over_64:
       (if $bench["BM_Retune/64"] then
@@ -126,7 +118,7 @@ if [ "$CONTROL_ONLY" -eq 1 ]; then
   echo "== micro (control-plane group): $MICRO (min_time=${MIN_TIME}s)"
   MICRO_JSON="$(mktemp)"
   "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter='BM_Retune|BM_RetuneChanged|BM_Rebalance|BM_MembershipChurn' \
+    --benchmark_filter='BM_Retune|BM_Rebalance|BM_MembershipChurn' \
     >"$MICRO_JSON" 2>/dev/null
   BASE='{"schema":"anufs-bench-v1"}'
   if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
@@ -138,13 +130,14 @@ if [ "$CONTROL_ONLY" -eq 1 ]; then
     --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     --argjson host "$HOST_JSON" \
     "$JQ_BENCH"'
-    $base * {
-      recorded_at: $date,
-      commit: $commit,
-      host: $host,
-      micro: (($base.micro // {}) + $bench),
-      control_plane: $control
-    }' >"$TMP"
+    # The re-measured group replaces its old entries outright (`*`
+    # would merge recursively and keep keys a bench no longer emits).
+    $base * {recorded_at: $date, commit: $commit, host: $host}
+    | .micro = (($base.micro // {})
+                | with_entries(select(.key
+                    | test("^BM_(Retune|Rebalance|MembershipChurn)") | not))
+               ) + $bench
+    | .control_plane = $control' >"$TMP"
   mv "$TMP" "$OUT"
   rm -f "$MICRO_JSON"
   echo "== merged control-plane group into $OUT"

@@ -21,11 +21,11 @@
 #   trace-smoke  run anufs_sim --trace on a tiny scenario (default
 #             preset's build) and validate the exported JSONL against
 #             scripts/check_trace_schema.py
-#   retune-smoke  replay the 64-server retune-equivalence property
-#             (incremental control plane bit-identical to the full
-#             walk, auditor forced on) from the default preset's build
-#             — a fast tripwire for anyone touching the tuner or
-#             region map without running the full property suite
+#   retune-smoke  replay the 64-server control-plane churn property
+#             (every tuning round keeps the tuner's contract, auditor
+#             forced on) from the default preset's build — a fast
+#             tripwire for anyone touching the tuner or region map
+#             without running the full property suite
 #   batch-smoke  replay the locate_many churn interleavings against a
 #             standalone PlacementCache per twin system (batched answers
 #             bit-identical to the scalar sequence, exact hit/miss
@@ -148,13 +148,13 @@ for stage in "${STAGES[@]}"; do
     # Needs the default preset built (runs after `default` in the full
     # gate; standalone invocations build the one test on demand).
     echo "== retune-smoke"
-    if [ ! -x build/tests/retune_equivalence_test ]; then
+    if [ ! -x build/tests/control_plane_churn_test ]; then
       cmake --preset default
       cmake --build --preset default -j "$JOBS" \
-        --target retune_equivalence_test
+        --target control_plane_churn_test
     fi
-    ANUFS_AUDIT=1 build/tests/retune_equivalence_test \
-      --gtest_filter='RetuneEquivalence.IncrementalMatchesFullWalkAt64'
+    ANUFS_AUDIT=1 build/tests/control_plane_churn_test \
+      --gtest_filter='ControlPlaneChurn.AuditedChurnAt64'
     continue
   fi
   if [ "$stage" = batch-smoke ]; then

@@ -49,19 +49,6 @@ std::vector<ServerId> PairwiseTuner::matching(
   return alive;
 }
 
-const double* PairwiseTuner::prev_latency_of(ServerId id) const {
-  const auto it = std::lower_bound(prev_ids_.begin(), prev_ids_.end(), id);
-  if (it == prev_ids_.end() || *it != id) return nullptr;
-  return &prev_lat_[static_cast<std::size_t>(it - prev_ids_.begin())];
-}
-
-void PairwiseTuner::forget(ServerId id) {
-  const auto it = std::lower_bound(prev_ids_.begin(), prev_ids_.end(), id);
-  if (it == prev_ids_.end() || *it != id) return;
-  prev_lat_.erase(prev_lat_.begin() + (it - prev_ids_.begin()));
-  prev_ids_.erase(it);
-}
-
 TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
                                    const RegionMap& regions) {
   ANUFS_EXPECTS(!reports.empty());
@@ -112,13 +99,13 @@ TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
     if (config_.divergent) {
       // The hot server checks its own trajectory before shedding again:
       // if the last exchange is still draining (latency falling), wait.
-      const double* hot_prev = prev_latency_of(hot.id);
+      const double* hot_prev = history_.find(hot.id);
       if (hot_prev != nullptr && hot.mean_latency < *hot_prev) {
         continue;
       }
       // The cold side refuses while its own latency is rising: it is
       // still absorbing a previous acceptance.
-      const double* cold_prev = prev_latency_of(cold.id);
+      const double* cold_prev = history_.find(cold.id);
       if (cold_prev != nullptr && cold.requests > 0 &&
           cold.mean_latency > *cold_prev) {
         continue;
@@ -145,31 +132,10 @@ TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
     decision.explicitly_scaled.push_back(cold.id);
   }
 
-  // Refresh each server's locally-remembered latency. The report ids
-  // are already sorted/deduped in `entries`, so the merge over the
-  // sorted history is linear; unreported servers keep their entry.
-  {
-    std::vector<ServerId> ids;
-    std::vector<double> lat;
-    ids.reserve(prev_ids_.size() + entries.size());
-    lat.reserve(prev_ids_.size() + entries.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < prev_ids_.size() || j < entries.size()) {
-      if (j == entries.size() ||
-          (i < prev_ids_.size() && prev_ids_[i] < entries[j].id)) {
-        ids.push_back(prev_ids_[i]);
-        lat.push_back(prev_lat_[i]);
-        ++i;
-        continue;
-      }
-      if (i < prev_ids_.size() && prev_ids_[i] == entries[j].id) ++i;
-      ids.push_back(entries[j].id);
-      lat.push_back(entries[j].report->mean_latency);
-      ++j;
-    }
-    prev_ids_ = std::move(ids);
-    prev_lat_ = std::move(lat);
+  // Refresh each server's locally-remembered latency (`entries` holds
+  // the last report per id); unreported servers keep their entry.
+  for (const Entry& e : entries) {
+    history_.record(e.id, e.report->mean_latency);
   }
 
   Measure sum = 0;

@@ -17,13 +17,9 @@
 // the full latency vector (see bench/tabe_pairwise_vs_central).
 //
 // Control-plane cost: a round is inherently O(n) in the matching (every
-// alive server participates in the shuffle), but all per-server state —
-// report lookup, working targets, remembered latencies — lives in flat
-// sorted vectors, so the constant is a binary search over contiguous
-// memory rather than a red-black-tree chase. Unlike the centralized
-// tuner there is no unchanged-round memo: round_ advances the matching
-// every call, so two identical report sets legitimately produce
-// different exchanges.
+// alive server participates in the shuffle). The round's working state
+// is a flat vector sorted by id; remembered latencies live in a
+// LatencyHistory, the dense table the central tuner uses too.
 #pragma once
 
 #include <cstdint>
@@ -80,19 +76,14 @@ class PairwiseTuner {
 
   /// Forget a departed server's local history (its own crash is the one
   /// event that loses it).
-  void forget(ServerId id);
+  void forget(ServerId id) { history_.forget(id); }
 
  private:
-  /// Remembered latency of `id`, or nullptr when unknown.
-  [[nodiscard]] const double* prev_latency_of(ServerId id) const;
-
   PairwiseConfig config_;
   std::uint64_t round_ = 0;
-  // Per-server LOCAL state as a flat sorted map (prev_ids_ sorted,
-  // prev_lat_ parallel) — the decentralized analogue of the delegate's
-  // history, without per-entry allocation.
-  std::vector<ServerId> prev_ids_;
-  std::vector<double> prev_lat_;
+  // Each server's LOCAL remembered latency, held here in one table: the
+  // decentralized analogue of the delegate's history.
+  LatencyHistory history_;
 };
 
 }  // namespace anufs::core

@@ -26,11 +26,11 @@
 // flat vector (average occupancy P/2n < 2 partitions per server). A
 // mutation therefore costs only the partitions it actually touches,
 // never a walk of the whole map, and rebalance_to() skips servers whose
-// target equals their share without touching them at all. Consumers
-// that memoize derived state (the placement cache, the tuner's share
-// snapshot) track change at two granularities: the global generation
-// (any mutation) and per-partition stamps (exactly which sub-regions
-// moved), so their invalidation is scoped to what changed.
+// target equals their share without touching them at all. A consumer
+// that memoizes derived state (the placement cache) tracks change at
+// two granularities: the global generation (any mutation) and
+// per-partition stamps (exactly which sub-regions moved), so its
+// invalidation is scoped to what changed.
 #pragma once
 
 #include <cstdint>

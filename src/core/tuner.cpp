@@ -32,21 +32,6 @@ Wide add_clamped(Measure& t, Wide delta, Measure floor_share) {
   return leftover;
 }
 
-// Bitwise equality: any difference (including a NaN latency, which never
-// compares equal) forces the recompute path, so the memo can only ever
-// reproduce a decision the full computation already produced.
-bool same_reports(const std::vector<ServerReport>& a,
-                  const std::vector<ServerReport>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].mean_latency != b[i].mean_latency ||
-        a[i].requests != b[i].requests) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 LatencyTuner::LatencyTuner(TunerConfig config) : config_(config) {
@@ -103,71 +88,10 @@ double LatencyTuner::choose_threshold(
   return std::clamp(q, config_.auto_min, config_.auto_max);
 }
 
-const double* LatencyTuner::prev_latency_of(ServerId id) const {
-  const auto it = std::lower_bound(prev_ids_.begin(), prev_ids_.end(), id);
-  if (it == prev_ids_.end() || *it != id) return nullptr;
-  return &prev_lat_[static_cast<std::size_t>(it - prev_ids_.begin())];
-}
-
-bool LatencyTuner::record_history(const std::vector<ServerReport>& reports) {
-  // Common case: the report set covers exactly the ids already in the
-  // history map, in some order — update values in place. `changed`
-  // tracks whether any stored value actually moved; a NaN latency
-  // never compares equal and therefore always reads as changed, which
-  // errs on the side of not arming the memo.
-  bool changed = false;
-  bool in_place = reports.size() == prev_ids_.size();
-  if (in_place) {
-    for (const ServerReport& r : reports) {
-      const auto it =
-          std::lower_bound(prev_ids_.begin(), prev_ids_.end(), r.id);
-      if (it == prev_ids_.end() || *it != r.id) {
-        in_place = false;
-        break;
-      }
-      double& slot = prev_lat_[static_cast<std::size_t>(it - prev_ids_.begin())];
-      if (!(slot == r.mean_latency)) changed = true;
-      slot = r.mean_latency;
-    }
-    if (in_place) return changed;
-    // A miss after partial writes is fine: the merge below re-applies
-    // every report on top of whatever was written — and a miss means
-    // some reported id is absent from the history, so the merged id
-    // set is a strict superset and the history changes by definition.
-  }
-  // General case (membership changed): merge sorted reports over the
-  // sorted history. Later reports win on duplicate ids, matching the
-  // old map's last-write-wins; unreported servers keep their entry.
-  std::vector<std::pair<ServerId, double>> batch;
-  batch.reserve(reports.size());
-  for (const ServerReport& r : reports) batch.emplace_back(r.id, r.mean_latency);
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const auto& x, const auto& y) { return x.first < y.first; });
-  std::vector<ServerId> ids;
-  std::vector<double> lat;
-  ids.reserve(prev_ids_.size() + batch.size());
-  lat.reserve(prev_ids_.size() + batch.size());
-  std::size_t i = 0;  // over prev_ids_
-  std::size_t j = 0;  // over batch
-  while (i < prev_ids_.size() || j < batch.size()) {
-    if (j == batch.size() ||
-        (i < prev_ids_.size() && prev_ids_[i] < batch[j].first)) {
-      ids.push_back(prev_ids_[i]);
-      lat.push_back(prev_lat_[i]);
-      ++i;
-      continue;
-    }
-    const ServerId id = batch[j].first;
-    double value = batch[j].second;
-    while (j < batch.size() && batch[j].first == id) value = batch[j++].second;
-    if (i < prev_ids_.size() && prev_ids_[i] == id) ++i;  // superseded
-    ids.push_back(id);
-    lat.push_back(value);
-  }
-  changed = ids != prev_ids_ || lat != prev_lat_;
-  prev_ids_ = std::move(ids);
-  prev_lat_ = std::move(lat);
-  return changed;
+void LatencyHistory::record(ServerId id, double latency) {
+  ANUFS_EXPECTS(id != kInvalidServer);
+  if (id.value >= slots_.size()) slots_.resize(id.value + 1);
+  slots_[id.value] = Slot{latency, true};
 }
 
 TuneDecision LatencyTuner::retune(const std::vector<ServerReport>& reports,
@@ -175,26 +99,6 @@ TuneDecision LatencyTuner::retune(const std::vector<ServerReport>& reports,
   ANUFS_EXPECTS(!reports.empty());
   ANUFS_EXPECTS(regions.total_share() == kHalfInterval);
 
-  // O(changed) fast path: same map at the same generation means not one
-  // partition moved since the memoized round, and bitwise-equal reports
-  // mean the measurement inputs are identical too. The decision is a
-  // pure function of exactly that state — shares + reports + the
-  // divergent-gating history — and the memo is only ever armed when the
-  // memoized round's history update was a no-op (history already at its
-  // fixed point for these reports), so the history the memoized
-  // decision saw is the history a recompute would see now. The memo IS
-  // the recomputation, bit for bit, including the skipped (no-op)
-  // history update.
-  if (incremental_ && memo_map_ == &regions &&
-      regions.generation() == memo_gen_ && same_reports(reports, memo_reports_)) {
-    last_threshold_ = memo_threshold_;
-    return memo_decision_;
-  }
-  return retune_full(reports, regions);
-}
-
-TuneDecision LatencyTuner::retune_full(
-    const std::vector<ServerReport>& reports, const RegionMap& regions) {
   TuneDecision decision;
   decision.system_average = system_average(reports, config_.average);
   const double a = decision.system_average;
@@ -227,7 +131,7 @@ TuneDecision LatencyTuner::retune_full(
       act = false;  // growth only ever happens implicitly
     }
     if (config_.divergent && act) {
-      if (const double* prev_p = prev_latency_of(r.id)) {
+      if (const double* prev_p = history_.find(r.id)) {
         const double prev = *prev_p;
         const bool diverging =
             (lat > a && lat >= prev) || (lat < a && lat <= prev);
@@ -315,23 +219,8 @@ TuneDecision LatencyTuner::retune_full(
   }
 
   // Record this interval's latencies for next round's divergent gating.
-  const bool history_changed = record_history(reports);
-
-  if (incremental_ && !history_changed) {
-    // History was already at its fixed point for these reports, so the
-    // decision above was computed against exactly the history any
-    // future identical round would see — safe to memoize.
-    memo_map_ = &regions;
-    memo_gen_ = regions.generation();
-    memo_reports_ = reports;
-    memo_decision_ = decision;
-    memo_threshold_ = last_threshold_;
-  } else if (incremental_) {
-    // The update superseded the history this decision used (first
-    // sighting of these measurements): a repeat of the same reports
-    // must recompute under the new history, and any previously armed
-    // memo is stale for the same reason.
-    memo_map_ = nullptr;
+  for (const ServerReport& r : reports) {
+    history_.record(r.id, r.mean_latency);
   }
 
   return decision;

@@ -280,9 +280,15 @@ ScenarioConfig parse_scenario(std::istream& is,
         config.auto_threshold = true;
       } else {
         config.threshold = parse_double(v, ctx, "threshold");
+        if (config.threshold < 0.0) {
+          config_failure(ctx, "threshold must be >= 0 (or auto)");
+        }
       }
     } else if (key == "max_scale") {
       config.max_scale = parse_double(want("value"), ctx, "max_scale");
+      if (config.max_scale <= 1.0) {
+        config_failure(ctx, "max_scale must be > 1 (a per-round factor)");
+      }
     } else if (key == "average") {
       const std::string v = want("mean|median");
       if (v == "median") {

@@ -188,6 +188,30 @@ TEST(PairwiseTuner, CrashForgetsRememberedLatency) {
   EXPECT_LT(system.regions().share(ServerId{2}), before);
 }
 
+TEST(PairwiseTuner, AbsentServerKeepsItsRememberedLatency) {
+  // Servers 2 and 3 sit out round 2 (a two-server map, reports for 0
+  // and 1 only). In round 3 server 2 reports 5.0, below its remembered
+  // 10.0, so it is still draining and must not shed. A tuner that
+  // forgot server 2 during the gap makes it shed: the matching is the
+  // same, because both tuners are at the same round.
+  const RegionMap four = equal_map(4);
+  const RegionMap two = equal_map(2);
+  const auto run = [&](bool forget_during_gap) {
+    PairwiseTuner tuner{PairwiseConfig{}};
+    (void)tuner.retune(reports_of({0.1, 0.1, 10.0, 0.1}), four);
+    (void)tuner.retune(reports_of({0.1, 0.1}), two);
+    if (forget_during_gap) tuner.forget(ServerId{2});
+    const TuneDecision d =
+        tuner.retune(reports_of({0.1, 0.1, 5.0, 0.1}), four);
+    for (const auto& [id, target] : d.targets) {
+      if (id == ServerId{2}) return target;
+    }
+    return Measure{0};
+  };
+  EXPECT_EQ(run(false), four.share(ServerId{2}));
+  EXPECT_LT(run(true), four.share(ServerId{2}));
+}
+
 TEST(PairwiseTuner, NoCentralStateAcrossInstances) {
   // Two tuner instances given the same inputs at the same round produce
   // identical decisions: the protocol has no hidden coordinator state.

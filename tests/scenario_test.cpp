@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "policies/registry.h"
 
@@ -148,6 +149,24 @@ TEST(ScenarioParseDeathTest, UnknownPolicyListsRegisteredNames) {
 
 TEST(ScenarioParseDeathTest, PowDZeroRejected) {
   EXPECT_DEATH((void)parse_scenario_text("pow_d 0\n"), "pow_d must be >= 1");
+}
+
+TEST(ScenarioParseDeathTest, NegativeThresholdRejected) {
+  // A negative band would otherwise fall through make_anu_config's
+  // "<0 = default" sentinel and run silently with the default width.
+  EXPECT_DEATH((void)parse_scenario_text("policy anu\nthreshold -0.5\n"),
+               "<inline>:2: threshold must be >= 0");
+}
+
+TEST(ScenarioParseDeathTest, MaxScaleAtOrBelowOneRejected) {
+  // Negative values used to be swallowed by the sentinel; (0, 1] used to
+  // abort on the tuner's own precondition with no scenario location.
+  for (const char* v : {"-3", "0.5", "1"}) {
+    EXPECT_DEATH(
+        (void)parse_scenario_text(std::string("max_scale ") + v + "\n"),
+        "<inline>:1: max_scale must be > 1")
+        << v;
+  }
 }
 
 TEST(ScenarioParse, PowDParsesAndClampsToClusterSize) {

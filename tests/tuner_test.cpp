@@ -271,6 +271,58 @@ TEST(Tuner, ResetHistoryDisablesDivergentGatingOnce) {
   EXPECT_TRUE(scaled0);
 }
 
+bool scaled(const TuneDecision& d, std::uint32_t id) {
+  for (const ServerId s : d.explicitly_scaled) {
+    if (s == ServerId{id}) return true;
+  }
+  return false;
+}
+
+TEST(Tuner, SilentServerIsGatedAgainstItsLastReportedLatency) {
+  // A report lost in transit (ReportCollector message loss) leaves the
+  // server out of one round; its remembered latency must survive that
+  // round, so on reappearance divergent gating compares against 0.100.
+  const RegionMap map = equal_map(3);
+  TunerConfig config = no_heuristics();
+  config.divergent = true;
+  const auto run = [&](double reappearing) {
+    LatencyTuner tuner{config};
+    (void)tuner.retune(reports_of({0.100, 0.010, 0.010}), map);
+    std::vector<ServerReport> silent0 = reports_of({0.100, 0.010, 0.010});
+    silent0.erase(silent0.begin());  // server 0's report is lost
+    (void)tuner.retune(silent0, map);
+    return tuner.retune(reports_of({reappearing, 0.010, 0.010}), map);
+  };
+  // Above average but below 0.100: converging, held back.
+  EXPECT_FALSE(scaled(run(0.050), 0));
+  // Above 0.100: still diverging, scaled.
+  EXPECT_TRUE(scaled(run(0.200), 0));
+  // A tuner with no history scales the same 0.050 report.
+  LatencyTuner fresh{config};
+  EXPECT_TRUE(
+      scaled(fresh.retune(reports_of({0.050, 0.010, 0.010}), map), 0));
+}
+
+TEST(Tuner, ResetHistoryForgetsEveryServer) {
+  const RegionMap map = equal_map(3);
+  TunerConfig config = no_heuristics();
+  config.divergent = true;
+  // Round 2 has every server converging: 0 and 1 above average and
+  // falling, 2 below average and rising. With history all are held.
+  const auto round1 = reports_of({0.200, 0.150, 0.001});
+  const auto round2 = reports_of({0.100, 0.080, 0.002});
+  LatencyTuner kept{config};
+  (void)kept.retune(round1, map);
+  EXPECT_TRUE(kept.retune(round2, map).explicitly_scaled.empty());
+
+  LatencyTuner reset{config};
+  (void)reset.retune(round1, map);
+  reset.reset_history();
+  const TuneDecision d = reset.retune(round2, map);
+  EXPECT_EQ(d.explicitly_scaled,
+            (std::vector<ServerId>{ServerId{0}, ServerId{1}, ServerId{2}}));
+}
+
 TEST(Tuner, MinShareFloorRespected) {
   RegionMap map = equal_map(2);
   TunerConfig config = no_heuristics();
