@@ -86,7 +86,6 @@ int main() {
   }
   for (const double delay : {0.0, 1.0, 10.0, 60.0}) {
     cluster::ClusterConfig cc = bench::paper_cluster();
-    cc.routing.model_staleness = delay > 0.0;
     cc.routing.distribution_delay = delay;
     emit(table, "map_delay_s", metrics::TableEmitter::num(delay, 0),
          run(cc, core::AnuConfig{}, work));

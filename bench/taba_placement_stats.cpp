@@ -17,7 +17,7 @@
 #include "core/anu_system.h"
 #include "hash/hash_family.h"
 #include "metrics/emit.h"
-#include "metrics/skew.h"
+#include "metrics/summary.h"
 #include "sim/random.h"
 
 int main() {
@@ -50,15 +50,15 @@ int main() {
         anu_load[loc.server.value] += 1.0;
         simple_load[family.fallback_server(fp, n)] += 1.0;
       }
-      const metrics::SkewReport anu = metrics::load_skew(anu_load);
-      const metrics::SkewReport simple = metrics::load_skew(simple_load);
+      const metrics::Summary anu = metrics::summarize(anu_load);
+      const metrics::Summary simple = metrics::summarize(simple_load);
       table.row({std::to_string(n), std::to_string(m),
                  metrics::TableEmitter::num(probes / m, 3),
                  metrics::TableEmitter::num(fallbacks / m, 6),
-                 metrics::TableEmitter::num(anu.max_over_mean, 3),
-                 metrics::TableEmitter::num(simple.max_over_mean, 3),
-                 metrics::TableEmitter::num(anu.cv, 3),
-                 metrics::TableEmitter::num(simple.cv, 3)});
+                 metrics::TableEmitter::num(anu.max / anu.mean, 3),
+                 metrics::TableEmitter::num(simple.max / simple.mean, 3),
+                 metrics::TableEmitter::num(anu.cv(), 3),
+                 metrics::TableEmitter::num(simple.cv(), 3)});
     }
   }
   std::cout << "# expected: mean_probes ~2, fallback ~"

@@ -20,7 +20,9 @@
 # every one of them.
 #   trace-smoke  run anufs_sim --trace on a tiny scenario (default
 #             preset's build) and validate the exported JSONL against
-#             scripts/check_trace_schema.py
+#             scripts/check_trace_schema.py; then the same for a lossy-
+#             report SAN run that must fence servers (its trace has to
+#             carry `fenced` events, and the run its SAN ledger check)
 #   retune-smoke  replay the 64-server control-plane churn property
 #             (every tuning round keeps the tuner's contract, auditor
 #             forced on) from the default preset's build — a fast
@@ -141,6 +143,17 @@ for stage in "${STAGES[@]}"; do
     # The Chrome export must at least be valid JSON for Perfetto.
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_OUT.chrome.json"
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_OUT.metrics.json"
+    # Lossy reports with the SAN model on: fencing drops queued work, and
+    # the end-of-run SAN ledger check aborts if a dropped request left
+    # its client blocked.
+    FENCE_OUT="$(dirname "$TRACE_OUT")/fence.jsonl"
+    printf 'workload synthetic\npolicy anu\nservers 1,3,5,7,9\nseed 2\nsan on\nreport_loss 0.7\nduration 3600\nrequests 50000\nfile_sets 40\n' \
+      | build/tools/anufs_sim --trace "$FENCE_OUT" - > /dev/null
+    python3 scripts/check_trace_schema.py "$FENCE_OUT"
+    if ! grep -q '"name":"fenced"' "$FENCE_OUT"; then
+      echo "trace-smoke: no fenced events in $FENCE_OUT" >&2
+      exit 1
+    fi
     rm -rf "$(dirname "$TRACE_OUT")"
     continue
   fi

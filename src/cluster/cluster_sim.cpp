@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "cluster/fsmeta_backing.h"
 #include "obs/trace.h"
 #include "sim/distributions.h"
 
@@ -48,7 +49,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
   }
   unavailable_until_.assign(sets, 0.0);
   held_.resize(sets);
-  if (config_.routing.model_staleness) stale_.resize(sets);
+  if (config_.routing.distribution_delay > 0.0) stale_.resize(sets);
   std::vector<ServerId> initial;
   for (std::uint32_t i = 0; i < config_.server_speeds.size(); ++i) {
     const ServerId id{i};
@@ -80,24 +81,28 @@ ServerNode& ClusterSim::node(ServerId id) {
   return *nodes_[id.value];
 }
 
+std::size_t ClusterSim::crash_node(ServerId id) {
+  const std::size_t lost = node(id).crash();
+  result_.lost += lost;
+  if (config_.san.enabled) {
+    for (std::size_t i = 0; i < lost; ++i) san_.on_metadata_lost();
+  }
+  if (backing_ != nullptr) {
+    // Every file set the victim served loses its volatile journal tail
+    // at this instant; recovery happens when a new owner acquires it.
+    for (const workload::FileSetSpec& fs : workload_.file_sets) {
+      if (policy_.owner(fs.id) == id) backing_->on_owner_crashed(fs.id);
+    }
+  }
+  return lost;
+}
+
 void ClusterSim::schedule_failure(sim::SimTime t, ServerId id) {
   sched_.schedule_at(t, [this, id] {
-    const std::size_t lost = node(id).crash();
+    const std::size_t lost = crash_node(id);
     ANUFS_TRACE(obs::Category::kFault, "crash", {"server", id.value},
                 {"lost", lost},
                 {"silent", config_.detector.enabled ? 1 : 0});
-    result_.lost += lost;
-    if (config_.san.enabled) {
-      for (std::size_t i = 0; i < lost; ++i) san_.on_metadata_lost();
-    }
-    if (backing_ != nullptr) {
-      // Every file set the victim served loses its volatile journal
-      // tail at this instant; recovery happens when a new owner
-      // acquires it.
-      for (const workload::FileSetSpec& fs : workload_.file_sets) {
-        if (policy_.owner(fs.id) == id) backing_->on_owner_crashed(fs.id);
-      }
-    }
     if (config_.detector.enabled) {
       // Silent crash: the cluster learns of it only through heartbeat
       // silence; meanwhile its file sets are unreachable.
@@ -108,19 +113,20 @@ void ClusterSim::schedule_failure(sim::SimTime t, ServerId id) {
   });
 }
 
+ClusterSim::Undetected::iterator ClusterSim::declare_failure(
+    Undetected::iterator it) {
+  ANUFS_TRACE(obs::Category::kFault, "failure_declared",
+              {"server", it->first.value},
+              {"silent_for", sched_.now() - it->second});
+  apply_moves(policy_.on_server_failed(it->first), MoveReason::kRecovery);
+  return undetected_.erase(it);
+}
+
 void ClusterSim::detector_sweep() {
   const sim::SimTime now = sched_.now();
   for (auto it = undetected_.begin(); it != undetected_.end();) {
-    if (now - it->second >= config_.detector.timeout) {
-      ANUFS_TRACE(obs::Category::kFault, "failure_declared",
-                  {"server", it->first.value},
-                  {"silent_for", now - it->second});
-      apply_moves(policy_.on_server_failed(it->first),
-                  MoveReason::kRecovery);
-      it = undetected_.erase(it);
-    } else {
-      ++it;
-    }
+    it = now - it->second >= config_.detector.timeout ? declare_failure(it)
+                                                      : std::next(it);
   }
   sched_.schedule_in(config_.detector.sweep_interval,
                      [this] { detector_sweep(); });
@@ -158,7 +164,7 @@ void ClusterSim::arrive(std::size_t index) {
   // name and forwards after the forwarding work clears its queue.
   bool forwarded = false;
   // A set never moved, or whose mapping has propagated, is not stale.
-  if (config_.routing.model_staleness) {
+  if (!stale_.empty()) {
     const StaleRoute& stale = stale_[r.file_set.value];
     if (sched_.now() < stale.until && node(stale.previous).alive()) {
       ++result_.forwarded;
@@ -252,71 +258,51 @@ void ClusterSim::drain_held(FileSetId fs) {
 void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
                              MoveReason reason) {
   const bool crash_induced = reason == MoveReason::kRecovery;
+  // Movement off: moves cost no time, stall nobody and leave caches
+  // warm, but still run the backing's state transitions (flush +
+  // recovery), or crashed file sets would never recover.
+  const bool costed = movement_.config().enabled;
   result_.moves += moves.size();
   result_.moves_timeline.emplace_back(sched_.now(), moves.size());
   if (crash_induced) result_.crash_moves += moves.size();
-  if (config_.routing.model_staleness) {
+  if (!stale_.empty()) {
     const sim::SimTime until =
         sched_.now() + config_.routing.distribution_delay;
     for (const policy::Move& m : moves) {
       stale_[m.file_set.value] = StaleRoute{m.from, until};
     }
   }
-  if (!movement_.config().enabled) {
-    for (const policy::Move& m : moves) {
-      ANUFS_TRACE(obs::Category::kMove, "fileset_move",
-                  {"fs", m.file_set.value}, {"from", m.from.value},
-                  {"to", m.to.value}, {"reason", reason_name(reason)});
-    }
-    // Cost-free moves still require the backing's state transitions
-    // (flush + recovery), or crashed file sets would never recover.
-    if (backing_ != nullptr) {
-      for (const policy::Move& m : moves) {
-        if (!crash_induced && node(m.from).alive()) {
-          (void)backing_->flush_cost(m.file_set);
-        }
-        (void)backing_->acquire_cost(m.file_set);
-      }
-    }
-    if (crash_induced && !moves.empty()) {
-      // Instant moves: the victim's sets are re-owned the moment the
-      // failure is declared.
-      result_.recoveries.push_back(
-          RecoveryEpisode{sched_.now(), sched_.now(), moves.size()});
-    }
-    return;
-  }
   sim::SimTime last_ready = sched_.now();
   for (const policy::Move& m : moves) {
     ANUFS_TRACE(obs::Category::kMove, "fileset_move",
                 {"fs", m.file_set.value}, {"from", m.from.value},
                 {"to", m.to.value}, {"reason", reason_name(reason)});
-    movement_.on_move(m.file_set);
-    double transit = movement_.sample_init();
-    // Flaky-transfer injection: each failed attempt wastes a backoff
-    // plus a fresh init before the set comes up at the new owner.
-    const std::uint32_t failures = movement_.sample_move_failures();
-    if (failures > 0) {
+    double transit = 0.0;
+    if (costed) {
+      movement_.on_move(m.file_set);
+      transit = movement_.sample_init();
+      // Flaky-transfer injection: each failed attempt wastes a backoff
+      // plus a fresh init before the set comes up at the new owner.
+      const std::uint32_t failures = movement_.sample_move_failures();
       result_.move_failures += failures;
       for (std::uint32_t attempt = 0; attempt < failures; ++attempt) {
         transit += movement_.fault_backoff() + movement_.sample_init();
       }
+      if (!crash_induced) transit += movement_.sample_flush();
     }
-    if (!crash_induced) {
-      transit += movement_.sample_flush();
-      // The shedding server spends a little CPU driving the flush.
-      if (node(m.from).alive()) {
-        double shed_stall = movement_.config().shed_cpu_stall;
-        if (backing_ != nullptr) {
-          shed_stall += backing_->flush_cost(m.file_set);
-        }
-        node(m.from).stall(shed_stall);
+    // The shedding server spends a little CPU driving the flush.
+    if (!crash_induced && node(m.from).alive()) {
+      double shed_stall = movement_.config().shed_cpu_stall;
+      if (backing_ != nullptr) {
+        shed_stall += backing_->flush_cost(m.file_set);
       }
+      if (costed) node(m.from).stall(shed_stall);
     }
     double acquire_stall = movement_.config().acquire_cpu_stall;
     if (backing_ != nullptr) {
       acquire_stall += backing_->acquire_cost(m.file_set);
     }
+    if (!costed) continue;
     // The acquirer may be silently dead (crashed but not yet declared by
     // the detector): membership still lists it, so a concurrent
     // recovery/addition can pick it as a target. No CPU to stall then —
@@ -331,6 +317,8 @@ void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
                        [this, fs = m.file_set] { drain_held(fs); });
   }
   if (crash_induced && !moves.empty()) {
+    // With movement off the episode spans 0 s: the victim's sets are
+    // re-owned the moment the failure is declared.
     result_.recoveries.push_back(
         RecoveryEpisode{sched_.now(), last_ready, moves.size()});
   }
@@ -340,13 +328,7 @@ void ClusterSim::reconfigure() {
   const sim::SimTime now = sched_.now();
   // A crashed server cannot report: the delegate notices the missing
   // report, which is itself failure detection — declare before tuning.
-  for (auto it = undetected_.begin(); it != undetected_.end();) {
-    ANUFS_TRACE(obs::Category::kFault, "failure_declared",
-                {"server", it->first.value},
-                {"silent_for", now - it->second});
-    apply_moves(policy_.on_server_failed(it->first), MoveReason::kRecovery);
-    it = undetected_.erase(it);
-  }
+  while (!undetected_.empty()) (void)declare_failure(undetected_.begin());
   std::vector<core::ServerReport> reports;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i] == nullptr) continue;
@@ -382,14 +364,7 @@ void ClusterSim::reconfigure() {
       // it stops serving (it may be re-commissioned later).
       if (node(suspect).alive()) {
         ++result_.fenced;
-        result_.lost += node(suspect).crash();
-        if (backing_ != nullptr) {
-          for (const workload::FileSetSpec& fs : workload_.file_sets) {
-            if (policy_.owner(fs.id) == suspect) {
-              backing_->on_owner_crashed(fs.id);
-            }
-          }
-        }
+        (void)crash_node(suspect);
       }
       ANUFS_TRACE(obs::Category::kFault, "fenced",
                   {"server", suspect.value});
@@ -470,6 +445,11 @@ RunResult ClusterSim::run() {
                              : result_.mean_latency /
                                    static_cast<double>(result_.completed);
   if (config_.san.enabled) {
+    // The SAN half of the ledger: every client still blocked on
+    // metadata has a request queued, held or mid-forward.
+    ANUFS_ENSURES(san_.blocked_clients() == result_.queued_at_end +
+                                                result_.held_at_end +
+                                                result_.in_transit_at_end);
     san_.advance();
     result_.san_busy = san_.busy_time();
     result_.san_wasted_idle = san_.wasted_idle();

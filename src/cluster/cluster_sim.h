@@ -16,7 +16,6 @@
 #include "cluster/movement.h"
 #include "cluster/san.h"
 #include "cluster/server_node.h"
-#include "cluster/typed_backing.h"
 #include "core/collection.h"
 #include "common/ids.h"
 #include "metrics/series.h"
@@ -27,6 +26,8 @@
 
 namespace anufs::cluster {
 
+class FsmetaBacking;
+
 /// Client-side routing staleness model. After a reconfiguration the new
 /// server-to-interval mapping takes time to reach every client; until
 /// then, requests for moved file sets land on the PREVIOUS owner, which
@@ -34,9 +35,9 @@ namespace anufs::cluster {
 /// unknown unique name, it hashes it and routes the request to the
 /// appropriate server", paper §5).
 struct RoutingConfig {
-  bool model_staleness = false;
-  /// How long a new mapping takes to reach clients.
-  double distribution_delay = 1.0;
+  /// How long a new mapping takes to reach clients; 0 (the default)
+  /// turns the staleness model off.
+  double distribution_delay = 0.0;
   /// Unit-speed CPU the wrong server spends re-hashing + forwarding.
   double forward_demand = 0.002;
   /// Network hop to the correct server.
@@ -195,11 +196,11 @@ class ClusterSim {
   }
   void clear_move_fault() { movement_.clear_fault(); }
 
-  /// Executing-server mode: attach a TypedBacking BEFORE run(). Request
+  /// Executing-server mode: attach a backing BEFORE run(). Request
   /// demands then come from executing each request's typed operation,
   /// and move costs from the backing's real flush/recovery work. The
   /// backing must outlive the simulation.
-  void attach_backing(TypedBacking& backing) {
+  void attach_backing(FsmetaBacking& backing) {
     ANUFS_EXPECTS(!ran_ && backing_ == nullptr);
     backing_ = &backing;
   }
@@ -235,6 +236,16 @@ class ClusterSim {
   void drain_held(FileSetId fs);
   [[nodiscard]] ServerNode& node(ServerId id);
   void install_node(ServerId id, double speed);
+  /// Take a live server down: its queued requests are lost (and their
+  /// clients unblocked on the SAN), and in executing-server mode every
+  /// file set it owned loses its journal tail. Membership is untouched.
+  /// Returns the requests lost.
+  std::size_t crash_node(ServerId id);
+  using Undetected = std::map<ServerId, sim::SimTime>;
+  /// Declare a silent crash found by the detector sweep or by the
+  /// delegate's missing report: re-home the victim's file sets and stop
+  /// tracking it. Returns the entry after the erased one.
+  Undetected::iterator declare_failure(Undetected::iterator it);
   void detector_sweep();
 
   ClusterConfig config_;
@@ -263,12 +274,12 @@ class ClusterSim {
   // ledger is one read, not a walk over every set's queue.
   std::size_t held_count_ = 0;
   // Routing staleness per set; allocated only when
-  // RoutingConfig::model_staleness is set (empty otherwise).
+  // RoutingConfig::distribution_delay > 0 (empty otherwise).
   std::vector<StaleRoute> stale_;
   // Failure detection: crash time of silently-dead servers, pending
-  // declaration by the detector sweep.
-  std::map<ServerId, sim::SimTime> undetected_;
-  TypedBacking* backing_ = nullptr;
+  // declaration by the detector sweep or the next reconfiguration.
+  Undetected undetected_;
+  FsmetaBacking* backing_ = nullptr;
   core::ReportCollector collector_;
   sim::Xoshiro256 net_rng_;
   RunResult result_;

@@ -1,17 +1,26 @@
-// The fsmeta/disk implementation of TypedBacking: each file set is a
-// JournaledFileSet (live namespace + WAL + shared-disk image); request
-// demands come from executing the typed operations; flush and
-// acquisition costs come from the actual journal and image sizes; a
-// crash really loses the volatile tail and the next owner really
-// replays the log.
+// Executing-server backing: the REAL metadata implementation the cluster
+// simulator delegates to instead of the parametric demand model. Each
+// file set is a JournaledFileSet (live namespace + WAL + shared-disk
+// image).
+//
+// With a backing attached (ClusterSim::attach_backing):
+//  * a request's service demand is whatever executing its typed
+//    operation actually costs, computed when service starts;
+//  * a file-set move charges the shedding server the real flush cost
+//    (proportional to its dirty journal) and the acquiring server the
+//    real initialization/recovery cost (proportional to the disk
+//    image);
+//  * a server crash loses each owned file set's volatile journal tail,
+//    and the next owner pays for — and performs — the recovery replay.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cluster/typed_backing.h"
 #include "common/check.h"
+#include "common/ids.h"
 #include "disk/shared_disk.h"
 #include "workload/op_workload.h"
 
@@ -38,17 +47,30 @@ struct FsmetaBackingConfig {
   fsmeta::CostModel cost;
 };
 
-class FsmetaBacking final : public TypedBacking {
+class FsmetaBacking {
  public:
   /// `generated` must outlive the backing (ops and request->file-set
   /// mapping are read from it during the run).
   FsmetaBacking(const workload::OpWorkloadResult& generated,
                 FsmetaBackingConfig config = {});
 
-  double execute_op(std::size_t op_index) override;
-  double flush_cost(FileSetId fs) override;
-  double acquire_cost(FileSetId fs) override;
-  void on_owner_crashed(FileSetId fs) override;
+  /// Execute the workload's op at `op_index` against its file set's
+  /// live state; returns the unit-speed demand it cost. Called exactly
+  /// once per request, at service start, in service order.
+  double execute_op(std::size_t op_index);
+
+  /// Flush the file set's dirty journal to stable storage (shedding
+  /// side of a move); returns the wall-seconds of stall it costs.
+  double flush_cost(FileSetId fs);
+
+  /// Initialize/recover the file set on the acquiring server; returns
+  /// the wall-seconds of stall it costs. Performs crash recovery if the
+  /// previous owner died.
+  double acquire_cost(FileSetId fs);
+
+  /// The file set's serving node crashed: its volatile journal tail is
+  /// lost now; recovery happens at the next acquire_cost call.
+  void on_owner_crashed(FileSetId fs);
 
   // ---- post-run accounting ----------------------------------------------
 

@@ -46,8 +46,11 @@ struct MovementConfig {
   double acquire_cpu_stall = 0.2;  ///< CPU occupation on the acquirer
   double cold_factor = 2.0;        ///< initial demand multiplier
   std::uint32_t cold_requests = 50;  ///< requests until fully warm
-  /// Crash-induced moves skip the flush (there is no one to flush; the
-  /// shared-disk image is recovered by the acquirer instead).
+  /// Off: moves are free — no transit time, no CPU stalls, no cold
+  /// cache, no RNG draws — but still re-own the set and run an attached
+  /// backing's flush/recovery. (Crash-induced moves never flush: there
+  /// is no one to flush, and the acquirer recovers the shared-disk
+  /// image instead.)
   bool enabled = true;
 };
 

@@ -108,7 +108,9 @@ class ServerNode {
   }
 
   // Cumulative whole-run statistics.
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
+  [[nodiscard]] std::uint64_t completed() const noexcept {
+    return fifo_.completed();
+  }
   [[nodiscard]] double latency_sum() const noexcept { return latency_sum_; }
   [[nodiscard]] sim::SimDuration busy_time() const noexcept {
     return fifo_.busy_time();
@@ -118,7 +120,7 @@ class ServerNode {
   /// queued or in service right now. Part of the simulator's
   /// conservation ledger: submitted == completed + lost + in_flight.
   [[nodiscard]] std::uint64_t in_flight() const noexcept {
-    return submitted_ - completed_ - lost_;
+    return submitted_ - completed() - lost_;
   }
 
  private:
@@ -126,7 +128,6 @@ class ServerNode {
   void on_complete(const sim::JobCompletion& c) {
     const sim::SimDuration lat = c.latency();
     interval_.record(lat);
-    ++completed_;
     latency_sum_ += lat;
     if (record_samples_) samples_.push_back(lat);
     if (hook_) hook_(FileSetId{static_cast<std::uint32_t>(c.tag)}, c);
@@ -141,7 +142,6 @@ class ServerNode {
   bool record_samples_ = false;
   bool alive_ = true;
   std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
   std::uint64_t lost_ = 0;
   double latency_sum_ = 0.0;
 };

@@ -109,15 +109,10 @@ class RegionMap {
     return generation_;
   }
 
-  /// Generation of the last change to partition `p`'s (owner, fill)
-  /// state. An entry derived at generation G from partitions whose
-  /// stamps are all <= G is still exact, no matter how many times the
-  /// rest of the map moved since.
-  [[nodiscard]] std::uint64_t partition_stamp(std::uint32_t p) const {
-    return part_stamps_[p];
-  }
-
-  /// Stamp of the partition containing position x.
+  /// Generation of the last change to the (owner, fill) state of the
+  /// partition containing position x. An entry derived at generation G
+  /// from partitions whose stamps are all <= G is still exact, no
+  /// matter how many times the rest of the map moved since.
   [[nodiscard]] ANUFS_HOT std::uint64_t stamp_at(Pos x) const noexcept {
     return part_stamps_[space_.partition_of(x)];
   }

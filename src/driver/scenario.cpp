@@ -169,7 +169,7 @@ core::AnuConfig make_anu_config(const ScenarioConfig& c) {
   if (c.median_average) {
     anu_config.tuner.average = core::AverageKind::kMedian;
   }
-  if (c.pairwise || c.policy == "anu-pairwise") {
+  if (c.policy == "anu-pairwise") {
     anu_config.mode = core::TunerMode::kDecentralizedPairwise;
   }
   return anu_config;
@@ -252,8 +252,14 @@ ScenarioConfig parse_scenario(std::istream& is,
     } else if (key == "period") {
       config.cluster.reconfig_period =
           parse_double(want("seconds"), ctx, "period");
+      if (config.cluster.reconfig_period <= 0.0) {
+        config_failure(ctx, "period must be > 0");
+      }
     } else if (key == "duration") {
       config.duration = parse_double(want("seconds"), ctx, "duration");
+      if (config.duration <= 0.0) {
+        config_failure(ctx, "duration must be > 0");
+      }
     } else if (key == "requests") {
       config.requests = parse_u64(want("count"), ctx, "request count");
     } else if (key == "file_sets") {
@@ -268,10 +274,16 @@ ScenarioConfig parse_scenario(std::istream& is,
     } else if (key == "report_loss") {
       config.cluster.net.report_loss =
           parse_double(want("probability"), ctx, "report loss");
+      if (config.cluster.net.report_loss < 0.0 ||
+          config.cluster.net.report_loss > 1.0) {
+        config_failure(ctx, "report_loss must be in [0, 1]");
+      }
     } else if (key == "routing_delay") {
-      const double d = parse_double(want("seconds"), ctx, "routing delay");
-      config.cluster.routing.model_staleness = d > 0;
-      config.cluster.routing.distribution_delay = d;
+      config.cluster.routing.distribution_delay =
+          parse_double(want("seconds"), ctx, "routing delay");
+      if (config.cluster.routing.distribution_delay < 0.0) {
+        config_failure(ctx, "routing_delay must be >= 0 (0 = off)");
+      }
     } else if (key == "movement") {
       config.cluster.movement.enabled = parse_on_off(want("on|off"), ctx);
     } else if (key == "threshold") {

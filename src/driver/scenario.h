@@ -16,18 +16,19 @@
 //                              #   above the cluster size clamp with a
 //                              #   warning)
 //   servers 1,3,5,7,9          # speeds; ids are 0..n-1
-//   period 120                 # reconfiguration seconds
-//   duration 10000             # overrides workload default
+//   period 120                 # reconfiguration seconds (> 0)
+//   duration 10000             # overrides workload default (> 0)
 //   requests 100000            # expected request count
 //   file_sets 500
 //   seed 42
 //   san on|off
 //   detector on|off
-//   routing_delay 10           # seconds; 0 = off
-//   report_loss 0.1            # per-round report loss probability
+//   routing_delay 10           # seconds (>= 0); 0 = off
+//   report_loss 0.1            # per-round report loss probability,
+//                              #   in [0, 1]
 //   movement on|off
-//   threshold 0.5|auto         # ANU tuner knobs
-//   max_scale 2.0
+//   threshold 0.5|auto         # ANU tuner knobs (threshold >= 0,
+//   max_scale 2.0              #   max_scale > 1)
 //   average mean|median
 //   fail <time> <server>       # membership script
 //   recover <time> <server>
@@ -51,7 +52,11 @@
 //                              #   epoch-snapshot control-plane churn,
 //                              #   equivalence-checked against a
 //                              #   sequential replay
-//   serve_seconds 2            # serving window (wall-clock seconds)
+//   serve_seconds 2            # serving window (wall-clock seconds,
+//                              #   > 0)
+//
+// A value outside its stated range aborts at parse time with the same
+// <source>:<line> diagnostic as a malformed one.
 //
 // The `fail`/`recover`/`add` membership script and the fault plan both
 // inject membership churn; they compose, but a server they both touch
@@ -96,7 +101,6 @@ struct ScenarioConfig {
   bool auto_threshold = false;
   double max_scale = -1.0;
   bool median_average = false;
-  bool pairwise = false;
   std::vector<MembershipEvent> events;
   /// Deterministic fault-injection schedule (crashes, limping servers,
   /// SAN degradation, flaky moves); replayed through the scheduler by

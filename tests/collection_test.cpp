@@ -131,6 +131,30 @@ TEST(LossyReports, ExtremeLossFencesMembers) {
   policy.system().check_invariants();
 }
 
+TEST(LossyReports, FencingUnblocksSanClients) {
+  // Fencing a live server drops its queue: every dropped request must
+  // also unblock its client in the SAN model, or the end-of-run ledger
+  // check (blocked clients == queued + held + in transit) aborts.
+  workload::SyntheticConfig wc;
+  wc.file_sets = 40;
+  wc.total_requests = 50000;
+  wc.duration = 3600.0;
+  wc.seed = 2;
+  const workload::Workload work = workload::make_synthetic(wc);
+  cluster::ClusterConfig cc;
+  cc.server_speeds = {1, 3, 5, 7, 9};
+  cc.seed = 2;
+  cc.san.enabled = true;
+  cc.net.report_loss = 0.7;
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  cluster::ClusterSim sim(cc, work, policy);
+  const cluster::RunResult r = sim.run();
+  EXPECT_GT(r.fenced, 0u);
+  EXPECT_GT(r.lost, 0u);
+  EXPECT_EQ(r.total_requests, r.completed + r.lost + r.queued_at_end +
+                                  r.held_at_end + r.in_transit_at_end);
+}
+
 TEST(LossyReports, LosslessPathUnchanged) {
   // report_loss == 0 must take the exact legacy path (bit-identical to
   // a run without the NetConfig member ever existing).

@@ -94,6 +94,32 @@ TEST(FsmetaBacking, CrashLosesVolatileUpdatesAndRecovers) {
   (void)r;
 }
 
+TEST(FsmetaBacking, CostFreeMovesStillFlushAndRecover) {
+  // With movement off, moves cost nothing in simulated time but still
+  // drive the backing's state transitions: live shedders flush, every
+  // acquirer initializes or recovers, and the crash loses the victim's
+  // unflushed tail. The counts are pinned exactly.
+  const workload::OpWorkloadResult generated =
+      workload::make_op_workload(small_ops());
+  FsmetaBacking backing(generated);
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  ClusterConfig cc = paper_cluster();
+  cc.movement.enabled = false;
+  ClusterSim sim(cc, generated.workload, policy);
+  sim.attach_backing(backing);
+  sim.schedule_failure(600.0, ServerId{4});
+  const RunResult r = sim.run();
+  EXPECT_EQ(backing.executed(), r.completed);
+  EXPECT_EQ(backing.flushes(), 13u);
+  EXPECT_EQ(backing.recoveries(), 9u);
+  EXPECT_EQ(backing.executed(), 6055u);
+  EXPECT_EQ(backing.lost_updates(), 38u);
+  backing.check_consistency();
+  for (const workload::FileSetSpec& fs : generated.workload.file_sets) {
+    EXPECT_FALSE(backing.file_set(fs.id).crashed()) << fs.name;
+  }
+}
+
 TEST(FsmetaBacking, CheckpointsBoundJournals) {
   workload::OpWorkloadConfig config = small_ops();
   config.total_ops = 30000;  // enough mutations to trip compaction

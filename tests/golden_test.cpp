@@ -85,6 +85,24 @@ TEST(GoldenTrace, RoundRobinFlakyMoves) {
                       "move_flaky 50 350 0.6 3 1.0\n"));
 }
 
+// Cost-free moves, silent crashes and stale client maps: server 4's
+// crash is declared by the detector's sweep, server 3's by the next
+// reconfiguration (it is still silent at 180 s), and every re-homed set
+// is forwarded for 10 s by its previous owner.
+TEST(GoldenTrace, AnuMovementOffDetectorForwarding) {
+  compare_with_golden(
+      "anu_movement_off_detector",
+      run_and_capture(std::string(kBaseScenario) +
+                          "policy anu\n"
+                          "movement off\n"
+                          "detector on\n"
+                          "routing_delay 10\n",
+                      "crash 130 4\n"
+                      "crash 175 3\n"
+                      "recover 240 4\n"
+                      "recover 300 3\n"));
+}
+
 TEST(GoldenTrace, WeightedHashSanSlowdown) {
   compare_with_golden(
       "weighted_hash_san_slow",

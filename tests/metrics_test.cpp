@@ -1,4 +1,4 @@
-// Tests for the metrics module: series, summaries, skew, emitters.
+// Tests for the metrics module: series, summaries, emitters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "metrics/emit.h"
 #include "metrics/series.h"
-#include "metrics/skew.h"
 #include "metrics/summary.h"
 
 namespace anufs::metrics {
@@ -81,25 +80,29 @@ TEST(Summary, CvZeroWhenUniform) {
   EXPECT_DOUBLE_EQ(summarize({4, 4, 4, 4}).cv(), 0.0);
 }
 
+// Load skew (Table A) is read off a Summary of per-server loads:
+// max/mean, min/mean and cv().
 TEST(Skew, PerfectBalance) {
-  const SkewReport r = load_skew({10, 10, 10});
-  EXPECT_DOUBLE_EQ(r.max_over_mean, 1.0);
-  EXPECT_DOUBLE_EQ(r.min_over_mean, 1.0);
-  EXPECT_DOUBLE_EQ(r.cv, 0.0);
+  const Summary s = summarize({10, 10, 10});
+  EXPECT_DOUBLE_EQ(s.max / s.mean, 1.0);
+  EXPECT_DOUBLE_EQ(s.min / s.mean, 1.0);
+  EXPECT_DOUBLE_EQ(s.cv(), 0.0);
 }
 
-TEST(Skew, DetectsImbalance) {
-  const SkewReport r = load_skew({30, 10, 20});
-  EXPECT_DOUBLE_EQ(r.max_over_mean, 1.5);
-  EXPECT_DOUBLE_EQ(r.min_over_mean, 0.5);
-  EXPECT_GT(r.cv, 0.0);
-  EXPECT_DOUBLE_EQ(r.max_load, 30.0);
-  EXPECT_DOUBLE_EQ(r.mean_load, 20.0);
+TEST(Summary, DetectsImbalance) {
+  const Summary s = summarize({30, 10, 20});
+  EXPECT_DOUBLE_EQ(s.max / s.mean, 1.5);
+  EXPECT_DOUBLE_EQ(s.min / s.mean, 0.5);
+  EXPECT_GT(s.cv(), 0.0);
+  EXPECT_DOUBLE_EQ(s.max, 30.0);
+  EXPECT_DOUBLE_EQ(s.mean, 20.0);
 }
 
 TEST(Skew, EmptyIsZeros) {
-  const SkewReport r = load_skew({});
-  EXPECT_DOUBLE_EQ(r.max_over_mean, 0.0);
+  const Summary s = summarize({});
+  EXPECT_DOUBLE_EQ(s.max, 0.0);
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.cv(), 0.0);
 }
 
 TEST(Emit, BundleFormat) {

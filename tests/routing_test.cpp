@@ -21,7 +21,6 @@ workload::Workload small_workload() {
 ClusterConfig routed_cluster(double delay) {
   ClusterConfig cc;
   cc.server_speeds = {1, 3, 5, 7, 9};
-  cc.routing.model_staleness = true;
   cc.routing.distribution_delay = delay;
   return cc;
 }
@@ -83,17 +82,13 @@ TEST(Routing, ForwardingPreservesDeterminism) {
 
 TEST(Routing, ForwardingAddsModestLatency) {
   const workload::Workload work = small_workload();
-  const auto run_with = [&](bool staleness) {
+  const auto run_with = [&](double delay) {
     policy::AnuPolicy policy{core::AnuConfig{}};
-    ClusterConfig cc;
-    cc.server_speeds = {1, 3, 5, 7, 9};
-    cc.routing.model_staleness = staleness;
-    cc.routing.distribution_delay = 10.0;
-    ClusterSim sim(cc, work, policy);
+    ClusterSim sim(routed_cluster(delay), work, policy);
     return sim.run();
   };
-  const RunResult without = run_with(false);
-  const RunResult with = run_with(true);
+  const RunResult without = run_with(0.0);
+  const RunResult with = run_with(10.0);
   // Forwarding costs something but does not wreck the system: within
   // 2x of the staleness-free mean.
   EXPECT_LT(with.mean_latency, 2.0 * without.mean_latency + 0.01);

@@ -52,7 +52,6 @@ emit series
   EXPECT_EQ(c.seed, 7u);
   EXPECT_TRUE(c.cluster.san.enabled);
   EXPECT_TRUE(c.cluster.detector.enabled);
-  EXPECT_TRUE(c.cluster.routing.model_staleness);
   EXPECT_EQ(c.cluster.routing.distribution_delay, 10.0);
   EXPECT_FALSE(c.cluster.movement.enabled);
   EXPECT_EQ(c.threshold, 0.75);
@@ -165,6 +164,44 @@ TEST(ScenarioParseDeathTest, MaxScaleAtOrBelowOneRejected) {
     EXPECT_DEATH(
         (void)parse_scenario_text(std::string("max_scale ") + v + "\n"),
         "<inline>:1: max_scale must be > 1")
+        << v;
+  }
+}
+
+TEST(ScenarioParseDeathTest, ReportLossOutsideUnitIntervalRejected) {
+  // Out-of-range losses used to run silently: negative as lossless,
+  // above 1 as losing every report.
+  for (const char* v : {"-0.5", "1.5"}) {
+    EXPECT_DEATH(
+        (void)parse_scenario_text(std::string("report_loss ") + v + "\n"),
+        "<inline>:1: report_loss must be in \\[0, 1\\]")
+        << v;
+  }
+}
+
+TEST(ScenarioParseDeathTest, NegativeRoutingDelayRejected) {
+  // Used to switch the staleness model off without a word.
+  EXPECT_DEATH((void)parse_scenario_text("routing_delay -3\n"),
+               "<inline>:1: routing_delay must be >= 0");
+}
+
+TEST(ScenarioParseDeathTest, NonPositiveDurationRejected) {
+  // A negative duration used to fall back to the workload's default.
+  for (const char* v : {"0", "-10"}) {
+    EXPECT_DEATH(
+        (void)parse_scenario_text(std::string("duration ") + v + "\n"),
+        "<inline>:1: duration must be > 0")
+        << v;
+  }
+}
+
+TEST(ScenarioParseDeathTest, NonPositivePeriodRejected) {
+  // Used to abort in the ClusterSim constructor with no scenario
+  // location, after the workload was already built.
+  for (const char* v : {"0", "-5"}) {
+    EXPECT_DEATH(
+        (void)parse_scenario_text(std::string("period ") + v + "\n"),
+        "<inline>:1: period must be > 0")
         << v;
   }
 }
