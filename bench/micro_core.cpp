@@ -4,6 +4,7 @@
 // delegate's retune step, and region reshaping / re-partitioning.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -22,7 +23,9 @@
 #include "sim/queueing.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
+#include "workload/dfstrace_like.h"
 #include "workload/spec.h"
+#include "workload/synthetic.h"
 
 namespace {
 
@@ -436,6 +439,81 @@ void BM_AnuRebalance(benchmark::State& state) {
                   static_cast<std::uint32_t>(state.range(0)));
 }
 BENCHMARK(BM_AnuRebalance)->Arg(500)->Arg(50'000)->Arg(1'000'000);
+
+// Workload generation, the setup layer of every simulated run, and the
+// arrival sort inside it. Arg 0 is the sim-paper shape (500 sets, 100k
+// requests over 10,000 s), Arg 1 the sim-scale shape (250k sets, 1M
+// requests over 5,000 s).
+workload::SyntheticConfig synthetic_shape(std::int64_t shape) {
+  workload::SyntheticConfig config;
+  if (shape == 1) {
+    config.file_sets = 250'000;
+    config.total_requests = 1'000'000;
+    config.duration = 5'000.0;
+  }
+  return config;
+}
+
+void BM_MakeSynthetic(benchmark::State& state) {
+  const workload::SyntheticConfig config = synthetic_shape(state.range(0));
+  for (auto _ : state) {
+    const workload::Workload w = workload::make_synthetic(config);
+    benchmark::DoNotOptimize(w.requests.data());
+  }
+}
+BENCHMARK(BM_MakeSynthetic)->Arg(0)->Arg(1);
+
+void BM_MakeDfsTraceLike(benchmark::State& state) {
+  const workload::DfsTraceLikeConfig config;
+  for (auto _ : state) {
+    const workload::Workload w = workload::make_dfstrace_like(config);
+    benchmark::DoNotOptimize(w.requests.data());
+  }
+}
+BENCHMARK(BM_MakeDfsTraceLike);
+
+/// Times `sort` on the shape's stream in generation order (sets in id
+/// order, each with rising times): the input make_synthetic sorts. Each
+/// iteration restores that order untimed.
+template <typename Sort>
+void bench_arrival_sort(benchmark::State& state, Sort sort) {
+  const workload::Workload w =
+      workload::make_synthetic(synthetic_shape(state.range(0)));
+  std::vector<workload::RequestEvent> generated = w.requests;
+  std::sort(generated.begin(), generated.end(),
+            [](const workload::RequestEvent& a,
+               const workload::RequestEvent& b) {
+              if (a.file_set != b.file_set) {
+                return a.file_set.value < b.file_set.value;
+              }
+              return a.time < b.time;
+            });
+  std::vector<workload::RequestEvent> requests;
+  for (auto _ : state) {
+    state.PauseTiming();
+    requests = generated;
+    state.ResumeTiming();
+    sort(requests, w.duration);
+    benchmark::DoNotOptimize(requests.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SortByTime(benchmark::State& state) {
+  bench_arrival_sort(state, workload::sort_by_time);
+}
+BENCHMARK(BM_SortByTime)->Arg(0)->Arg(1);
+
+/// The baseline sort_by_time replaced: std::sort by time alone.
+void BM_StdSortByTime(benchmark::State& state) {
+  bench_arrival_sort(state, [](std::vector<workload::RequestEvent>& requests,
+                               sim::SimTime) {
+    std::sort(requests.begin(), requests.end(),
+              [](const workload::RequestEvent& a,
+                 const workload::RequestEvent& b) { return a.time < b.time; });
+  });
+}
+BENCHMARK(BM_StdSortByTime)->Arg(0)->Arg(1);
 
 // The observability layer's overhead contract (src/obs/trace.h): with
 // no sink installed a trace site is one thread-local load and a null

@@ -4,8 +4,8 @@
 #
 #   * the core microbenchmarks (google-benchmark JSON, bench/micro_core):
 #     hash probe, cache-miss / cached / uncached locate, retune,
-#     scheduler throughput (in-order and random-delay) and FIFO-server
-#     throughput
+#     scheduler throughput (in-order and random-delay), FIFO-server
+#     throughput, workload generation and the arrival sort
 #   * an end-to-end multi-seed sweep (tools/anufs_sim --sweep) wall clock
 #   * optionally, the same sweep on a pre-change binary for a recorded
 #     before/after speedup (--baseline-bin)
@@ -43,6 +43,15 @@
 #                                               # them as the `policies` group
 #                                               # into an existing
 #                                               # BENCH_core.json
+#   ./scripts/bench.sh --workload               # re-measure only workload
+#                                               # generation and the arrival
+#                                               # sort (BM_MakeSynthetic,
+#                                               # BM_MakeDfsTraceLike,
+#                                               # BM_SortByTime,
+#                                               # BM_StdSortByTime) and merge
+#                                               # them as the `workload` group
+#                                               # into an existing
+#                                               # BENCH_core.json
 #
 # The sweep scenario is fixed (synthetic workload, 5 heterogeneous
 # servers, membership churn, 30 seeds, --jobs 1) so successive snapshots
@@ -70,6 +79,7 @@ SWEEP="seed=1..30"
 CONTROL_ONLY=0
 BATCH_ONLY=0
 POLICIES_ONLY=0
+WORKLOAD_ONLY=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --out) OUT="$2"; shift 2 ;;
@@ -78,9 +88,28 @@ while [ $# -gt 0 ]; do
     --control-plane) CONTROL_ONLY=1; shift ;;
     --batch) BATCH_ONLY=1; shift ;;
     --policies) POLICIES_ONLY=1; shift ;;
+    --workload) WORKLOAD_ONLY=1; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+
+# The merge modes below re-measure one group of micro_core benchmarks:
+# build micro_core, run the benchmarks matching $2 into $MICRO_JSON, and
+# load the snapshot they merge into as $BASE.
+measure_group() {
+  echo "== build: default (micro_core only)"
+  cmake --preset default >/dev/null
+  cmake --build --preset default \
+    -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}" \
+    --target micro_core >/dev/null
+  MICRO="$ROOT/build/bench/micro_core"
+  echo "== micro ($1 group): $MICRO (min_time=${MIN_TIME}s)"
+  MICRO_JSON="$(mktemp)"
+  "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
+    --benchmark_filter="$2" >"$MICRO_JSON" 2>/dev/null
+  BASE='{"schema":"anufs-bench-v1"}'
+  if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
+}
 
 # jq fragment shared by both modes: google-benchmark JSON -> name-keyed
 # map, plus the control-plane summary group. BM_Retune is one tuning
@@ -109,19 +138,7 @@ JQ_BENCH='
 '
 
 if [ "$CONTROL_ONLY" -eq 1 ]; then
-  echo "== build: default (micro_core only)"
-  cmake --preset default >/dev/null
-  cmake --build --preset default \
-    -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}" \
-    --target micro_core >/dev/null
-  MICRO="$ROOT/build/bench/micro_core"
-  echo "== micro (control-plane group): $MICRO (min_time=${MIN_TIME}s)"
-  MICRO_JSON="$(mktemp)"
-  "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter='BM_Retune|BM_Rebalance|BM_MembershipChurn' \
-    >"$MICRO_JSON" 2>/dev/null
-  BASE='{"schema":"anufs-bench-v1"}'
-  if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
+  measure_group control-plane 'BM_Retune|BM_Rebalance|BM_MembershipChurn'
   TMP="$(mktemp)"
   jq -n \
     --slurpfile micro "$MICRO_JSON" \
@@ -184,19 +201,7 @@ JQ_BATCH='
 '
 
 if [ "$BATCH_ONLY" -eq 1 ]; then
-  echo "== build: default (micro_core only)"
-  cmake --preset default >/dev/null
-  cmake --build --preset default \
-    -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}" \
-    --target micro_core >/dev/null
-  MICRO="$ROOT/build/bench/micro_core"
-  echo "== micro (batch group): $MICRO (min_time=${MIN_TIME}s)"
-  MICRO_JSON="$(mktemp)"
-  "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter='BM_Locate|BM_ServeLocate' \
-    >"$MICRO_JSON" 2>/dev/null
-  BASE='{"schema":"anufs-bench-v1"}'
-  if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
+  measure_group batch 'BM_Locate|BM_ServeLocate'
   TMP="$(mktemp)"
   jq -n \
     --slurpfile micro "$MICRO_JSON" \
@@ -261,19 +266,7 @@ JQ_POLICIES='
 '
 
 if [ "$POLICIES_ONLY" -eq 1 ]; then
-  echo "== build: default (micro_core only)"
-  cmake --preset default >/dev/null
-  cmake --build --preset default \
-    -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}" \
-    --target micro_core >/dev/null
-  MICRO="$ROOT/build/bench/micro_core"
-  echo "== micro (policy-zoo group): $MICRO (min_time=${MIN_TIME}s)"
-  MICRO_JSON="$(mktemp)"
-  "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter='BM_PowD|BM_Jiq|BM_AnuRebalance' \
-    >"$MICRO_JSON" 2>/dev/null
-  BASE='{"schema":"anufs-bench-v1"}'
-  if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
+  measure_group policy-zoo 'BM_PowD|BM_Jiq|BM_AnuRebalance'
   TMP="$(mktemp)"
   jq -n \
     --slurpfile micro "$MICRO_JSON" \
@@ -293,6 +286,62 @@ if [ "$POLICIES_ONLY" -eq 1 ]; then
   rm -f "$MICRO_JSON"
   echo "== merged policy-zoo group into $OUT"
   jq '.policies' "$OUT"
+  exit 0
+fi
+
+# jq fragment for the workload group: synthetic generation at the
+# sim-paper (Arg 0) and sim-scale (Arg 1) shapes, the DFSTrace-like
+# generator, and the arrival sort alone against the std::sort it
+# replaced, on the same generation-order streams.
+JQ_WORKLOAD='
+  ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
+                                         cpu_ns: .cpu_time,
+                                         hit_rate: (.hit_rate // null)}})
+     | add) as $bench |
+  {
+    make_synthetic_ns: {
+      paper: $bench["BM_MakeSynthetic/0"].time_ns,
+      scale: $bench["BM_MakeSynthetic/1"].time_ns
+    },
+    make_dfstrace_like_ns: $bench["BM_MakeDfsTraceLike"].time_ns,
+    sort_by_time_ns: {
+      paper: $bench["BM_SortByTime/0"].time_ns,
+      scale: $bench["BM_SortByTime/1"].time_ns
+    },
+    std_sort_by_time_ns: {
+      paper: $bench["BM_StdSortByTime/0"].time_ns,
+      scale: $bench["BM_StdSortByTime/1"].time_ns
+    },
+    sort_speedup_vs_std: {
+      paper: ($bench["BM_StdSortByTime/0"].time_ns /
+              $bench["BM_SortByTime/0"].time_ns),
+      scale: ($bench["BM_StdSortByTime/1"].time_ns /
+              $bench["BM_SortByTime/1"].time_ns)
+    }
+  } as $workload |
+'
+
+if [ "$WORKLOAD_ONLY" -eq 1 ]; then
+  measure_group workload 'BM_MakeSynthetic|BM_MakeDfsTraceLike|SortByTime'
+  TMP="$(mktemp)"
+  jq -n \
+    --slurpfile micro "$MICRO_JSON" \
+    --argjson base "$BASE" \
+    --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+    --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --argjson host "$HOST_JSON" \
+    "$JQ_WORKLOAD"'
+    $base * {
+      recorded_at: $date,
+      commit: $commit,
+      host: $host,
+      micro: (($base.micro // {}) + $bench),
+      workload: $workload
+    }' >"$TMP"
+  mv "$TMP" "$OUT"
+  rm -f "$MICRO_JSON"
+  echo "== merged workload group into $OUT"
+  jq '.workload' "$OUT"
   exit 0
 fi
 
@@ -362,7 +411,7 @@ jq -n \
   --arg baseline_engine "$BASELINE_ENGINE" \
   --argjson sweep_seconds "$SWEEP_SECONDS" \
   --argjson baseline_seconds "$BASELINE_SECONDS" \
-  "$JQ_BENCH""$JQ_BATCH""$JQ_POLICIES"'
+  "$JQ_BENCH""$JQ_BATCH""$JQ_POLICIES""$JQ_WORKLOAD"'
   {
     schema: "anufs-bench-v1",
     recorded_at: $date,
@@ -385,6 +434,7 @@ jq -n \
     control_plane: $control,
     batch: $batch,
     policies: $policies,
+    workload: $workload,
     sweep: {
       scenario: "synthetic anu 5-server churn",
       sweep: $sweep,

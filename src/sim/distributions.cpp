@@ -1,26 +1,10 @@
 #include "sim/distributions.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace anufs::sim {
-
-double sample_exponential(Xoshiro256& rng, double rate) {
-  ANUFS_EXPECTS(rate > 0.0);
-  // -log(1-U) with U in [0,1) avoids log(0).
-  return -std::log1p(-rng.next_double()) / rate;
-}
-
-double sample_uniform(Xoshiro256& rng, double lo, double hi) {
-  ANUFS_EXPECTS(lo <= hi);
-  return lo + (hi - lo) * rng.next_double();
-}
-
-double sample_log_uniform(Xoshiro256& rng, double lo_exp, double hi_exp) {
-  return std::pow(10.0, sample_uniform(rng, lo_exp, hi_exp));
-}
 
 WeightedSampler::WeightedSampler(const std::vector<double>& weights) {
   ANUFS_EXPECTS(!weights.empty());

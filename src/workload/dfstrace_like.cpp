@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,12 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
       static_cast<double>(config.total_requests) /
       (expected_scale * epoch_len);
 
-  // Piecewise-homogeneous Poisson arrivals per set.
+  // Piecewise-homogeneous Poisson arrivals per set. Calibrated, the
+  // total is Poisson with mean total_requests: reserve the mean plus
+  // four standard deviations, as make_synthetic does.
+  const auto expected = static_cast<double>(config.total_requests);
+  w.requests.reserve(static_cast<std::size_t>(
+      expected + 4.0 * std::ceil(std::sqrt(expected))));
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
     sim::Xoshiro256 rng = sim::make_stream(config.seed, "dfs.set", i);
     for (std::uint32_t e = 0; e < epochs; ++e) {
@@ -78,10 +84,7 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
       }
     }
   }
-  std::sort(w.requests.begin(), w.requests.end(),
-            [](const RequestEvent& a, const RequestEvent& b) {
-              return a.time < b.time;
-            });
+  sort_by_time(w.requests, config.duration);
   w.validate();
   return w;
 }

@@ -66,4 +66,20 @@ struct Workload {
   void validate() const;
 };
 
+/// Put `requests` in arrival order: by time, then file set, then demand.
+/// The order is total, so the result is unique; for a generator that
+/// emits its sets in id order, each with rising times, it is also
+/// generation order. Every time must lie in [0, duration].
+///
+/// An in-place two-level distribution sort, linear for times spread
+/// evenly over [0, duration] (a superposition of Poisson streams). A
+/// coarse pass permutes the records into ~n/1024 equal-width buckets
+/// with American-flag cycle-leader swaps; a fine pass splits each bucket
+/// into one sub-bucket per record through one small scratch buffer and
+/// finishes with an insertion sort. A bucket above a fixed cap falls
+/// back to std::sort, so clustered times stay O(n log n). Extra memory
+/// is O(n/1024) counters and the scratch buffer, never a second copy of
+/// the stream.
+void sort_by_time(std::vector<RequestEvent>& requests, sim::SimTime duration);
+
 }  // namespace anufs::workload

@@ -1,6 +1,5 @@
 #include "workload/synthetic.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <string>
@@ -64,10 +63,7 @@ Workload make_synthetic(const SyntheticConfig& config) {
       t += sim::sample_exponential(rng, rate);
     }
   }
-  std::sort(w.requests.begin(), w.requests.end(),
-            [](const RequestEvent& a, const RequestEvent& b) {
-              return a.time < b.time;
-            });
+  sort_by_time(w.requests, config.duration);
   w.validate();
   return w;
 }

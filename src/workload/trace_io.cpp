@@ -46,6 +46,7 @@ Workload read_trace(std::istream& is) {
   ++line_no;
 
   bool saw_duration = false;
+  std::size_t last_req_line = 0;
   while (std::getline(is, line)) {
     ++line_no;
     // Strip comments and blank lines.
@@ -71,6 +72,7 @@ Workload read_trace(std::istream& is) {
       if (id != w.file_sets.size()) {
         parse_failure(line_no, "fileset ids must be dense from 0");
       }
+      if (!(weight > 0.0)) parse_failure(line_no, "fileset weight must be > 0");
       w.file_sets.push_back(FileSetSpec::make(id, std::move(name), weight));
     } else if (kind == "req") {
       double time = 0.0;
@@ -82,15 +84,26 @@ Workload read_trace(std::istream& is) {
       if (fs >= w.file_sets.size()) {
         parse_failure(line_no, "req references undeclared fileset");
       }
+      if (!(time >= 0.0)) parse_failure(line_no, "req time must be >= 0");
+      if (saw_duration && time > w.duration) {
+        parse_failure(line_no, "req time beyond the duration");
+      }
+      if (!(demand > 0.0)) parse_failure(line_no, "req demand must be > 0");
       if (!w.requests.empty() && time < w.requests.back().time) {
         parse_failure(line_no, "requests out of time order");
       }
       w.requests.push_back(RequestEvent{time, FileSetId{fs}, demand});
+      last_req_line = line_no;
     } else {
       parse_failure(line_no, "unknown record kind '" + kind + "'");
     }
   }
   if (!saw_duration) parse_failure(line_no, "missing duration record");
+  // A duration read after the requests: they are in time order, so the
+  // last one is the latest.
+  if (!w.requests.empty() && w.requests.back().time > w.duration) {
+    parse_failure(last_req_line, "req time beyond the duration");
+  }
   w.validate();
   return w;
 }

@@ -100,5 +100,40 @@ TEST(TraceIoDeathTest, RejectsBadDuration) {
   EXPECT_DEATH((void)read_trace(in), "bad duration");
 }
 
+// Bad values in well-formed records: each is rejected at its own line,
+// not later by Workload::validate() without one.
+
+TEST(TraceIoDeathTest, RejectsNegativeRequestTime) {
+  std::stringstream in(
+      "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq -1 0 0.1\n");
+  EXPECT_DEATH((void)read_trace(in), "line 4: req time must be >= 0");
+}
+
+TEST(TraceIoDeathTest, RejectsRequestBeyondDuration) {
+  std::stringstream in(
+      "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq 1 0 0.1\n"
+      "req 10.5 0 0.1\n");
+  EXPECT_DEATH((void)read_trace(in), "line 5: req time beyond the duration");
+}
+
+TEST(TraceIoDeathTest, RejectsRequestBeyondLaterDuration) {
+  std::stringstream in(
+      "# anufs-trace v1\nfileset 0 x 1\nreq 1 0 0.1\nreq 12 0 0.1\n"
+      "duration 10\n");
+  EXPECT_DEATH((void)read_trace(in), "line 4: req time beyond the duration");
+}
+
+TEST(TraceIoDeathTest, RejectsNonPositiveDemand) {
+  std::stringstream in(
+      "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq 1 0 0\n");
+  EXPECT_DEATH((void)read_trace(in), "line 4: req demand must be > 0");
+}
+
+TEST(TraceIoDeathTest, RejectsNonPositiveFileSetWeight) {
+  std::stringstream in(
+      "# anufs-trace v1\nduration 10\nfileset 0 x 1\nfileset 1 y -2\n");
+  EXPECT_DEATH((void)read_trace(in), "line 4: fileset weight must be > 0");
+}
+
 }  // namespace
 }  // namespace anufs::workload

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "hash/mix64.h"
+#include "sim/random.h"
 #include "workload/dfstrace_like.h"
 #include "workload/synthetic.h"
 
@@ -215,6 +220,195 @@ TEST(WorkloadSpec, PerSetAccountingConsistent) {
   std::uint64_t total = 0;
   for (const std::uint64_t c : counts) total += c;
   EXPECT_EQ(total, w.request_count());
+}
+
+// --- Generator digests ---------------------------------------------------
+// Every record's bits, folded in stream order. The values were recorded
+// with the std::sort-based generators that sort_by_time replaced, so they
+// pin both the draws and the arrival order.
+
+std::uint64_t stream_digest(const Workload& w) {
+  std::uint64_t d = w.requests.size();
+  for (const RequestEvent& r : w.requests) {
+    d = hash::mix64(d ^ std::bit_cast<std::uint64_t>(r.time));
+    d = hash::mix64(d ^ r.file_set.value);
+    d = hash::mix64(d ^ std::bit_cast<std::uint64_t>(r.demand));
+  }
+  return d;
+}
+
+TEST(WorkloadDigest, SyntheticPaperShape) {
+  const std::uint64_t expected[] = {0xd46cece1434fcba9ULL,
+                                    0x942323b6d8970b8eULL,
+                                    0xdea0146df766c514ULL};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SyntheticConfig config;
+    config.seed = seed;
+    EXPECT_EQ(stream_digest(make_synthetic(config)), expected[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+TEST(WorkloadDigest, SyntheticScaleShape) {
+  SyntheticConfig config;
+  config.file_sets = 250'000;
+  config.total_requests = 1'000'000;
+  config.duration = 5000.0;
+  config.seed = 1;
+  EXPECT_EQ(stream_digest(make_synthetic(config)), 0xffa9603b188edc30ULL);
+}
+
+TEST(WorkloadDigest, DfsTraceLikeDefaults) {
+  const std::uint64_t expected[] = {0x710585ba1f90ea2fULL,
+                                    0xc2aa01b64621defbULL,
+                                    0x8eba95b69a98f2ecULL};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    DfsTraceLikeConfig config;
+    config.seed = seed;
+    EXPECT_EQ(stream_digest(make_dfstrace_like(config)), expected[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+TEST(DfsTraceLike, RequestStreamIsAllocatedOnce) {
+  // Like make_synthetic, the stream is reserved at the calibrated mean
+  // plus 4 sigma, not grown by doubling.
+  const DfsTraceLikeConfig config;
+  const Workload w = make_dfstrace_like(config);
+  const double mean = static_cast<double>(config.total_requests);
+  const double margin = 4.0 * std::ceil(std::sqrt(mean));
+  EXPECT_GE(w.requests.capacity(), w.requests.size());
+  EXPECT_LE(static_cast<double>(w.requests.capacity()),
+            static_cast<double>(w.requests.size()) + 2.0 * margin);
+}
+
+// --- sort_by_time properties ----------------------------------------------
+// The result must equal std::sort under the same total order, whatever
+// the spread of the times.
+
+bool reference_before(const RequestEvent& a, const RequestEvent& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.file_set != b.file_set) return a.file_set.value < b.file_set.value;
+  return a.demand < b.demand;
+}
+
+/// `n` records with times from `time_of(i, rng)`, file sets and demands
+/// drawn so that equal times still carry distinct tie-breaks.
+template <typename TimeOf>
+std::vector<RequestEvent> make_records(std::size_t n, TimeOf time_of,
+                                      std::uint64_t seed = 11) {
+  sim::Xoshiro256 rng = sim::make_stream(seed, "sort_by_time.test");
+  std::vector<RequestEvent> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = time_of(i, rng);
+    out.push_back(RequestEvent{
+        t, FileSetId{static_cast<std::uint32_t>(rng.next_below(64))},
+        0.001 + rng.next_double()});
+  }
+  return out;
+}
+
+void expect_sorts_like_reference(std::vector<RequestEvent> requests,
+                                 double duration) {
+  std::vector<RequestEvent> expected = requests;
+  std::sort(expected.begin(), expected.end(), reference_before);
+  sort_by_time(requests, duration);
+  ASSERT_EQ(requests.size(), expected.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(requests[i].time, expected[i].time) << "record " << i;
+    ASSERT_EQ(requests[i].file_set, expected[i].file_set) << "record " << i;
+    ASSERT_EQ(requests[i].demand, expected[i].demand) << "record " << i;
+  }
+}
+
+TEST(SortByTime, UniformTimes) {
+  for (const std::size_t n : {3u, 1023u, 1024u, 1025u, 5000u, 100'000u}) {
+    expect_sorts_like_reference(
+        make_records(n, [](std::size_t, sim::Xoshiro256& rng) {
+          return 100.0 * rng.next_double();
+        }),
+        100.0);
+  }
+}
+
+TEST(SortByTime, TimesClusteredAtThreeInstantsExceedTheCap) {
+  // 30,000 records on three instants: each instant's coarse bucket holds
+  // ~10,000 records, far above the 4096 cap, so the fallback sorts them,
+  // and the equal times are ordered by file set and demand.
+  const double instants[] = {0.0, 37.5, 99.25};
+  expect_sorts_like_reference(
+      make_records(30'000,
+                  [&](std::size_t, sim::Xoshiro256& rng) {
+                    return instants[rng.next_below(3)];
+                  }),
+      100.0);
+}
+
+TEST(SortByTime, ClusteredBelowTheCap) {
+  // Twenty instants of ~150 records each: every non-empty bucket stays
+  // under the cap, so the fine pass sees all-equal sub-buckets.
+  expect_sorts_like_reference(
+      make_records(3000,
+                  [](std::size_t, sim::Xoshiro256& rng) {
+                    return 5.0 * static_cast<double>(rng.next_below(20));
+                  }),
+      100.0);
+}
+
+TEST(SortByTime, AllTimesEqual) {
+  for (const std::size_t n : {2u, 300u, 10'000u}) {
+    expect_sorts_like_reference(
+        make_records(n, [](std::size_t, sim::Xoshiro256&) { return 42.0; }),
+        100.0);
+  }
+}
+
+TEST(SortByTime, SortedAndReverseSortedTimes) {
+  const std::size_t n = 20'000;
+  const auto step = [&](std::size_t i) {
+    return 100.0 * static_cast<double>(i) / static_cast<double>(n);
+  };
+  expect_sorts_like_reference(
+      make_records(n, [&](std::size_t i, sim::Xoshiro256&) { return step(i); }),
+      100.0);
+  expect_sorts_like_reference(
+      make_records(n,
+                  [&](std::size_t i, sim::Xoshiro256&) {
+                    return step(n - 1 - i);
+                  }),
+      100.0);
+}
+
+TEST(SortByTime, TinyInputs) {
+  for (const std::size_t n : {0u, 1u, 2u}) {
+    expect_sorts_like_reference(
+        make_records(n, [&](std::size_t i, sim::Xoshiro256&) {
+          return 10.0 - static_cast<double>(i);
+        }),
+        10.0);
+  }
+}
+
+TEST(SortByTime, TimesAtBothEnds) {
+  // Exactly 0 and exactly the duration: the latter belongs to the last
+  // bucket, not one past it.
+  expect_sorts_like_reference(
+      make_records(2000,
+                  [](std::size_t i, sim::Xoshiro256& rng) {
+                    if (i % 3 == 0) return 0.0;
+                    if (i % 3 == 1) return 100.0;
+                    return 100.0 * rng.next_double();
+                  }),
+      100.0);
+}
+
+TEST(SortByTimeDeathTest, RejectsTimesOutsideTheDuration) {
+  std::vector<RequestEvent> late = {{5.0, FileSetId{0}, 1.0},
+                                    {10.5, FileSetId{0}, 1.0}};
+  EXPECT_DEATH(sort_by_time(late, 10.0), "precondition");
+  std::vector<RequestEvent> early = {{-0.5, FileSetId{0}, 1.0}};
+  EXPECT_DEATH(sort_by_time(early, 10.0), "precondition");
 }
 
 }  // namespace
