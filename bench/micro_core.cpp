@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/anu_system.h"
+#include "core/collection.h"
 #include "core/placement_cache.h"
 #include "core/tuner.h"
 #include "hash/hash_family.h"
@@ -358,6 +359,34 @@ void BM_MembershipChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MembershipChurn)->Arg(5)->Arg(64);
+
+// One report-collection round as ClusterSim::reconfigure runs it: close
+// the round over n members with ~10% of reports lost, then pad the lost
+// ones for the tuner. Two loss patterns alternate, so which members are
+// silent (and, past the threshold, suspected) changes from round to
+// round.
+void BM_CloseRound(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<ServerId> members;
+  for (std::uint32_t i = 0; i < n; ++i) members.push_back(ServerId{i});
+  sim::Xoshiro256 rng{8};
+  std::vector<core::ServerReport> arrived[2];
+  for (std::vector<core::ServerReport>& pattern : arrived) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (rng.next_double() < 0.1) continue;
+      pattern.push_back(core::ServerReport{
+          ServerId{i}, 0.01 + 0.05 * rng.next_double(), 100 + i});
+    }
+  }
+  core::ReportCollector collector{core::CollectionConfig{}};
+  bool flip = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(collector.close_round(members, arrived[flip]));
+    benchmark::DoNotOptimize(collector.padded(members));
+    flip = !flip;
+  }
+}
+BENCHMARK(BM_CloseRound)->Arg(64)->Arg(1024)->Arg(4096);
 
 // -------- policy-zoo decision paths (src/policies) --------
 

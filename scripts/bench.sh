@@ -18,7 +18,8 @@
 #   ./scripts/bench.sh --control-plane          # re-measure only the
 #                                               # control-plane group
 #                                               # (BM_Retune, rebalance,
-#                                               # churn) and merge it into an
+#                                               # churn, BM_CloseRound)
+#                                               # and merge it into an
 #                                               # existing BENCH_core.json
 #                                               # without re-running the sweep
 #   ./scripts/bench.sh --batch                  # re-measure only the locate
@@ -114,7 +115,9 @@ measure_group() {
 # jq fragment shared by both modes: google-benchmark JSON -> name-keyed
 # map, plus the control-plane summary group. BM_Retune is one tuning
 # round over fresh reports; the 512/64 ratio is the scaling check (8x
-# the servers should cost no more than ~8x).
+# the servers should cost no more than ~8x). BM_CloseRound is one
+# report-collection round with padding; its 4096/1024 ratio is the
+# same check (4x the members, ~4x the time).
 JQ_BENCH='
   ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
                                          cpu_ns: .cpu_time,
@@ -133,12 +136,23 @@ JQ_BENCH='
     membership_churn_ns: {
       "5":  $bench["BM_MembershipChurn/5"].time_ns,
       "64": $bench["BM_MembershipChurn/64"].time_ns
-    }
+    },
+    close_round_ns: {
+      "64":   $bench["BM_CloseRound/64"].time_ns,
+      "1024": $bench["BM_CloseRound/1024"].time_ns,
+      "4096": $bench["BM_CloseRound/4096"].time_ns
+    },
+    close_round_4096_over_1024:
+      (if $bench["BM_CloseRound/1024"] then
+         ($bench["BM_CloseRound/4096"].time_ns /
+          $bench["BM_CloseRound/1024"].time_ns)
+       else null end)
   } as $control |
 '
 
 if [ "$CONTROL_ONLY" -eq 1 ]; then
-  measure_group control-plane 'BM_Retune|BM_Rebalance|BM_MembershipChurn'
+  measure_group control-plane \
+    'BM_Retune|BM_Rebalance|BM_MembershipChurn|BM_CloseRound'
   TMP="$(mktemp)"
   jq -n \
     --slurpfile micro "$MICRO_JSON" \
@@ -152,7 +166,8 @@ if [ "$CONTROL_ONLY" -eq 1 ]; then
     $base * {recorded_at: $date, commit: $commit, host: $host}
     | .micro = (($base.micro // {})
                 | with_entries(select(.key
-                    | test("^BM_(Retune|Rebalance|MembershipChurn)") | not))
+                    | test("^BM_(Retune|Rebalance|MembershipChurn|CloseRound)")
+                    | not))
                ) + $bench
     | .control_plane = $control' >"$TMP"
   mv "$TMP" "$OUT"

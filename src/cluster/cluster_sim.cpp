@@ -139,7 +139,7 @@ void ClusterSim::schedule_recovery(sim::SimTime t, ServerId id) {
     ANUFS_EXPECTS(!undetected_.contains(id));
     node(id).recover();
     ANUFS_TRACE(obs::Category::kFault, "recover", {"server", id.value});
-    apply_moves(policy_.on_server_added(id), MoveReason::kMembership);
+    join(id);
   });
 }
 
@@ -149,8 +149,13 @@ void ClusterSim::schedule_addition(sim::SimTime t, ServerId id,
     install_node(id, speed);
     ANUFS_TRACE(obs::Category::kFault, "add", {"server", id.value},
                 {"speed", speed});
-    apply_moves(policy_.on_server_added(id), MoveReason::kMembership);
+    join(id);
   });
+}
+
+void ClusterSim::join(ServerId id) {
+  collector_.forget(id);
+  apply_moves(policy_.on_server_added(id), MoveReason::kMembership);
 }
 
 void ClusterSim::arrive(std::size_t index) {
@@ -329,7 +334,10 @@ void ClusterSim::reconfigure() {
   // A crashed server cannot report: the delegate notices the missing
   // report, which is itself failure detection — declare before tuning.
   while (!undetected_.empty()) (void)declare_failure(undetected_.begin());
-  std::vector<core::ServerReport> reports;
+  // Each live server's report reaches the delegate independently;
+  // silence accumulates toward expulsion (fencing).
+  std::vector<core::ServerReport> arrived;
+  std::size_t harvested = 0;
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i] == nullptr) continue;
     const ServerId id{i};
@@ -339,56 +347,33 @@ void ClusterSim::reconfigure() {
       continue;
     }
     const sim::IntervalSnapshot snap = n.harvest();
-    reports.push_back(core::ServerReport{id, snap.mean, snap.count});
     result_.latency_ms.at(server_label(id)).append(now, snap.mean * 1e3);
-  }
-
-  if (config_.net.report_loss > 0.0 && !reports.empty()) {
-    // Each report reaches the delegate independently; silence
-    // accumulates toward expulsion (fencing).
-    std::vector<core::ServerReport> arrived;
-    for (const core::ServerReport& r : reports) {
-      if (net_rng_.next_double() < config_.net.report_loss) {
-        ++result_.reports_lost;
-      } else {
-        arrived.push_back(r);
-      }
+    ++harvested;
+    if (net_rng_.next_double() < config_.net.report_loss) {
+      ++result_.reports_lost;
+    } else {
+      arrived.push_back(core::ServerReport{id, snap.mean, snap.count});
     }
-    const core::ReportCollector::RoundOutcome outcome =
-        collector_.close_round(policy_.servers(), arrived);
-    for (const ServerId suspect : outcome.suspects) {
+  }
+  if (harvested > 0) {
+    const std::vector<ServerId> members = policy_.servers();
+    std::size_t remaining = members.size();
+    for (const ServerId suspect : collector_.close_round(members, arrived)) {
       // Never expel the last member: someone must keep serving (the
       // quorum rule every membership service ends at).
-      if (policy_.servers().size() <= 1) break;
-      // Expelling a live member fences it: its queue is discarded and
-      // it stops serving (it may be re-commissioned later).
-      if (node(suspect).alive()) {
-        ++result_.fenced;
-        (void)crash_node(suspect);
-      }
+      if (remaining <= 1) break;
+      --remaining;
+      // After the drain every member is alive: expelling one fences it,
+      // discarding its queue; it may rejoin later.
+      ++result_.fenced;
+      (void)crash_node(suspect);
       ANUFS_TRACE(obs::Category::kFault, "fenced",
                   {"server", suspect.value});
       apply_moves(policy_.on_server_failed(suspect), MoveReason::kRecovery);
-      collector_.forget(suspect);
     }
-    // The tuner needs one report per remaining member: servers whose
-    // report was lost this round are passed as "no data" (zero
-    // requests), which every averaging mode ignores and top-off never
-    // grows explicitly.
-    std::vector<core::ServerReport> padded;
-    for (const ServerId id : policy_.servers()) {
-      const auto it = std::find_if(
-          arrived.begin(), arrived.end(),
-          [id](const core::ServerReport& r) { return r.id == id; });
-      padded.push_back(it != arrived.end()
-                           ? *it
-                           : core::ServerReport{id, 0.0, 0});
-    }
-    if (!padded.empty()) {
-      apply_moves(policy_.rebalance(now, padded), MoveReason::kRebalance);
-    }
-  } else if (!reports.empty()) {
-    apply_moves(policy_.rebalance(now, reports), MoveReason::kRebalance);
+    // The tuner gets one report per remaining member, in id order.
+    apply_moves(policy_.rebalance(now, collector_.padded(policy_.servers())),
+                MoveReason::kRebalance);
   }
   const sim::SimTime next = now + config_.reconfig_period;
   if (next <= workload_.duration) {

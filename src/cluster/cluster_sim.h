@@ -57,12 +57,11 @@ struct FailureDetectorConfig {
   double timeout = 15.0;        ///< silence before declaring failure
 };
 
-/// Lossy report collection. Each per-round latency report reaches the
-/// delegate with probability 1 - report_loss; the delegate tunes with
-/// what arrived and only declares a member failed after
-/// `collection.miss_threshold` consecutive silent rounds — a false
-/// positive FENCES the server (its queue is discarded), the price real
-/// clusters pay for expelling a live member.
+/// Report collection, one path for every round. Each latency report
+/// reaches the delegate with probability 1 - report_loss (0: all do);
+/// the delegate tunes with what arrived and declares a member failed
+/// after `collection.miss_threshold` consecutive silent rounds. A false
+/// positive FENCES a live server: its queue is discarded.
 struct NetConfig {
   double report_loss = 0.0;
   core::CollectionConfig collection;
@@ -236,6 +235,8 @@ class ClusterSim {
   void drain_held(FileSetId fs);
   [[nodiscard]] ServerNode& node(ServerId id);
   void install_node(ServerId id, double speed);
+  /// Admit a (re)joining server; silence from before it left is forgotten.
+  void join(ServerId id);
   /// Take a live server down: its queued requests are lost (and their
   /// clients unblocked on the SAN), and in executing-server mode every
   /// file set it owned loses its journal tail. Membership is untouched.

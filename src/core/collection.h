@@ -6,11 +6,11 @@
 // dropped packet a fake failure; never expelling would mask real
 // crashes. This collector implements the standard compromise: tune with
 // whatever reports arrived, and declare a server failed only after K
-// consecutive silent rounds.
+// consecutive silent rounds. Every reconfiguration round, lossless or
+// not, takes this one O(members + arrived) path.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -30,33 +30,35 @@ class ReportCollector {
     ANUFS_EXPECTS(config.miss_threshold >= 1);
   }
 
-  struct RoundOutcome {
-    /// Reports to feed the tuner this round (arrived members only).
-    std::vector<ServerReport> reports;
-    /// Members whose silence crossed the threshold: declare failed.
-    std::vector<ServerId> suspects;
-  };
-
   /// Close one collection round. `members` is the current alive set;
-  /// `arrived` the reports that made it to the delegate in time.
-  /// Members without an arrived report accumulate a miss; an arrived
-  /// report clears the counter.
-  [[nodiscard]] RoundOutcome close_round(
+  /// `arrived` the reports that made it to the delegate in time (a
+  /// non-member's is stale and ignored). A silent member accumulates a
+  /// miss, an arrived report clears it; returns the members whose
+  /// silence crossed the threshold (counters cleared): declare them failed.
+  [[nodiscard]] std::vector<ServerId> close_round(
       const std::vector<ServerId>& members,
       const std::vector<ServerReport>& arrived);
 
-  /// Membership changed (failure declared, server added): forget
-  /// counters for departed members, start fresh for newcomers.
-  void forget(ServerId id) { misses_.erase(id); }
+  /// The last round's report of each of `members`, in order; a lost one
+  /// is "no data" ({id, 0.0, 0}), which every averaging mode ignores and
+  /// top-off never grows explicitly.
+  [[nodiscard]] std::vector<ServerReport> padded(
+      const std::vector<ServerId>& members) const;
 
-  [[nodiscard]] std::uint32_t misses(ServerId id) const {
-    const auto it = misses_.find(id);
-    return it == misses_.end() ? 0 : it->second;
+  /// A server (re)joined: it starts with no misses.
+  void forget(ServerId id) {
+    if (id.value < slots_.size()) slots_[id.value].misses = 0;
   }
 
  private:
+  struct Slot {
+    std::uint32_t misses = 0;
+    std::uint64_t heard_in = 0;  // the round `report` arrived in
+    ServerReport report;
+  };
   CollectionConfig config_;
-  std::map<ServerId, std::uint32_t> misses_;
+  std::vector<Slot> slots_;  // index == ServerId.value
+  std::uint64_t round_ = 0;  // rounds closed so far
 };
 
 }  // namespace anufs::core

@@ -232,8 +232,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, AuditScenarios,
                                            "prescient", "round-robin",
                                            "simple-random", "weighted-hash",
                                            "consistent-hash"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }
