@@ -11,7 +11,8 @@
 #   lint      clang-tidy over src/ tools/ bench/ tests/ (skips when
 #             clang-tidy is not installed)
 #   static    project-invariant analysis (scripts/static.sh): anufs_lint
-#             D1/H1/T1/G1 over src/, the lint-fixture proof, and — when
+#             D1/H1/T1/G1 over src/, P1 over src/ and tools/, the
+#             lint-fixture proof, and — when
 #             clang++ exists — the thread-safety capability-analysis
 #             build of the `clang` preset; each sub-stage skips when its
 #             toolchain is missing

@@ -3,7 +3,9 @@
 #
 #   lint           tools/anufs_lint.py over src/ — D1 determinism,
 #                  H1 hot-path allocation freedom, T1 trace-schema sync,
-#                  G1 generation-stamp discipline. Needs only python3.
+#                  G1 generation-stamp discipline — and over src/ and
+#                  tools/, P1 number parsing only in
+#                  common/line_reader.h. Needs only python3.
 #   fixtures       tests/lint_fixture_test.py — proves every rule fires
 #                  on the bad examples in tests/lint_fixtures/ and that
 #                  safe() waivers suppress.
@@ -48,7 +50,7 @@ for stage in "${STAGES[@]}"; do
         echo "static.sh: python3 not found; skipping anufs_lint" >&2
         continue
       fi
-      echo "== static: anufs_lint (D1/H1/T1/G1)"
+      echo "== static: anufs_lint (D1/H1/T1/G1/P1)"
       python3 tools/anufs_lint.py --root "$ROOT" \
         --compile-db "$BUILD_DIR/compile_commands.json"
       RAN=1

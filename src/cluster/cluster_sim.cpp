@@ -99,6 +99,13 @@ std::size_t ClusterSim::crash_node(ServerId id) {
 
 void ClusterSim::schedule_failure(sim::SimTime t, ServerId id) {
   sched_.schedule_at(t, [this, id] {
+    if (!node(id).alive()) {
+      // Fencing took the server down first: there is nothing left to
+      // crash, and a scheduled recovery brings it back as usual.
+      ANUFS_TRACE(obs::Category::kFault, "crash_of_down_server",
+                  {"server", id.value});
+      return;
+    }
     const std::size_t lost = crash_node(id);
     ANUFS_TRACE(obs::Category::kFault, "crash", {"server", id.value},
                 {"lost", lost},

@@ -167,7 +167,8 @@ class ClusterSim {
   /// Inject a crash of an initial (or added) server at time t. With the
   /// failure detector disabled the membership change is declared
   /// immediately; with it enabled, the crash is silent until the
-  /// detector's timeout elapses.
+  /// detector's timeout elapses. A server already down at t (fenced for
+  /// lost reports) is left as it is.
   void schedule_failure(sim::SimTime t, ServerId id);
 
   /// Re-commission a previously crashed server at time t.

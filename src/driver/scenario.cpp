@@ -1,9 +1,9 @@
 #include "driver/scenario.h"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <istream>
 #include <map>
 #include <memory>
@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 #include "driver/run_metrics.h"
 #include "fault/fault_injector.h"
 #include "metrics/emit.h"
@@ -27,102 +28,40 @@ namespace anufs::driver {
 
 namespace {
 
-/// Where a diagnostic points: the input's name plus the 1-based line.
-struct LineCtx {
-  const std::string& source;
-  std::size_t line;
-};
-
-[[noreturn]] void config_failure(const LineCtx& ctx, const std::string& what) {
-  std::fprintf(stderr, "anufs-scenario: %s:%zu: %s\n", ctx.source.c_str(),
-               ctx.line, what.c_str());
-  std::abort();
-}
-
-// ---- numeric token parsing -----------------------------------------------
-// std::stod/std::stoul would throw std::invalid_argument on garbage (an
-// uncaught abort with no context) and silently accept trailing junk
-// ("1.5x" -> 1.5). These helpers consume the WHOLE token or die with a
-// diagnostic naming source:line and the offending token.
-
-double parse_double(const std::string& token, const LineCtx& ctx,
-                    const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || token.empty() ||
-      errno == ERANGE || !std::isfinite(v)) {
-    config_failure(ctx, std::string("bad ") + what + " '" + token +
-                            "' (expected a finite number)");
-  }
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& token, const LineCtx& ctx,
-                        const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  // strtoull quietly wraps negatives ("-1" -> huge); require a digit
-  // first so the rejection is explicit.
-  if (token.empty() || (token[0] < '0' || token[0] > '9') ||
-      end != token.c_str() + token.size() || errno == ERANGE) {
-    config_failure(ctx, std::string("bad ") + what + " '" + token +
-                            "' (expected a non-negative integer)");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t parse_u32(const std::string& token, const LineCtx& ctx,
-                        const char* what) {
-  const std::uint64_t v = parse_u64(token, ctx, what);
-  if (v > 0xffffffffull) {
-    config_failure(ctx, std::string("bad ") + what + " '" + token +
-                            "' (does not fit in 32 bits)");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::vector<double> parse_speeds(const std::string& csv, const LineCtx& ctx) {
+std::vector<double> parse_speeds(LineReader& in) {
   std::vector<double> speeds;
-  std::string token;
-  for (const char c : csv + ",") {
-    if (c == ',') {
-      if (token.empty()) config_failure(ctx, "empty speed entry");
-      speeds.push_back(parse_double(token, ctx, "speed"));
-      token.clear();
-    } else {
-      token += c;
-    }
+  for (const std::string& token : split(in.word("speeds"), ',')) {
+    if (token.empty()) in.fail("empty speed entry");
+    speeds.push_back(in.number(token, "speed"));
   }
-  if (speeds.empty()) config_failure(ctx, "no speeds given");
   return speeds;
 }
 
-bool parse_on_off(const std::string& v, const LineCtx& ctx) {
+bool parse_on_off(LineReader& in) {
+  const std::string v = in.word("on|off");
   if (v == "on") return true;
   if (v == "off") return false;
-  config_failure(ctx, "expected on|off, got '" + v + "'");
+  in.fail("expected on|off, got '" + v + "'");
 }
 
 // "seed=A..B" (inclusive, A <= B, A >= 1).
-void parse_sweep(const std::string& spec, ScenarioConfig& config,
-                 const LineCtx& ctx) {
+void parse_sweep(LineReader& in, ScenarioConfig& config) {
+  const std::string spec = in.word("seed=A..B");
   const auto eq = spec.find('=');
   const auto dots = spec.find("..");
   if (eq == std::string::npos || dots == std::string::npos || dots < eq ||
       spec.substr(0, eq) != "seed") {
-    config_failure(ctx, "expected sweep seed=A..B, got '" + spec + "'");
+    in.fail("expected sweep seed=A..B, got '" + spec + "'");
   }
   const std::string lo = spec.substr(eq + 1, dots - eq - 1);
   const std::string hi = spec.substr(dots + 2);
   if (lo.empty() || hi.empty()) {
-    config_failure(ctx, "expected sweep seed=A..B, got '" + spec + "'");
+    in.fail("expected sweep seed=A..B, got '" + spec + "'");
   }
-  config.sweep_begin = parse_u64(lo, ctx, "sweep begin");
-  config.sweep_end = parse_u64(hi, ctx, "sweep end");
+  config.sweep_begin = in.u64(lo, "sweep begin");
+  config.sweep_end = in.u64(hi, "sweep end");
   if (config.sweep_begin == 0 || config.sweep_end < config.sweep_begin) {
-    config_failure(ctx, "sweep range must satisfy 1 <= A <= B");
+    in.fail("sweep range must satisfy 1 <= A <= B");
   }
 }
 
@@ -212,179 +151,132 @@ std::unique_ptr<policy::PlacementPolicy> build_policy(
 ScenarioConfig parse_scenario(std::istream& is,
                               const std::string& source_name) {
   ScenarioConfig config;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const LineCtx ctx{source_name, line_no};
-    if (const auto hash_pos = line.find('#'); hash_pos != std::string::npos) {
-      line.resize(hash_pos);
-    }
-    std::istringstream ss(line);
-    std::string key;
-    if (!(ss >> key)) continue;
-    std::string value;
-    const auto want = [&](const char* what) -> std::string& {
-      if (!(ss >> value)) {
-        config_failure(ctx, std::string("missing ") + what);
-      }
-      return value;
-    };
+  LineReader in(is, "anufs-scenario", source_name);
+  while (in.next()) {
+    const std::string key = in.word("key");
     if (key == "workload") {
-      config.workload = want("workload kind");
+      config.workload = in.word("workload kind");
       if (config.workload == "trace") {
-        config.trace_path_workload = want("trace path");
+        config.trace_path_workload = in.word("trace path");
       }
     } else if (key == "policy") {
-      config.policy = want("policy name");
+      config.policy = in.word("policy name");
       if (policy::find_policy(config.policy) == nullptr) {
-        config_failure(ctx, "unknown policy '" + config.policy +
-                                "' (registered: " +
-                                policy::registered_policy_list() + ")");
+        in.fail("unknown policy '" + config.policy + "' (registered: " +
+                policy::registered_policy_list() + ")");
       }
     } else if (key == "pow_d") {
-      config.pow_d = parse_u32(want("choices"), ctx, "pow_d");
+      config.pow_d = in.u32("pow_d");
       if (config.pow_d < 1) {
-        config_failure(ctx, "pow_d must be >= 1 (d choices per decision)");
+        in.fail("pow_d must be >= 1 (d choices per decision)");
       }
     } else if (key == "servers") {
-      config.cluster.server_speeds = parse_speeds(want("speeds"), ctx);
+      config.cluster.server_speeds = parse_speeds(in);
     } else if (key == "period") {
-      config.cluster.reconfig_period =
-          parse_double(want("seconds"), ctx, "period");
+      config.cluster.reconfig_period = in.number("period");
       if (config.cluster.reconfig_period <= 0.0) {
-        config_failure(ctx, "period must be > 0");
+        in.fail("period must be > 0");
       }
     } else if (key == "duration") {
-      config.duration = parse_double(want("seconds"), ctx, "duration");
-      if (config.duration <= 0.0) {
-        config_failure(ctx, "duration must be > 0");
-      }
+      config.duration = in.number("duration");
+      if (config.duration <= 0.0) in.fail("duration must be > 0");
     } else if (key == "requests") {
-      config.requests = parse_u64(want("count"), ctx, "request count");
+      config.requests = in.u64("request count");
     } else if (key == "file_sets") {
-      config.file_sets = parse_u32(want("count"), ctx, "file-set count");
+      config.file_sets = in.u32("file-set count");
     } else if (key == "seed") {
-      config.seed = parse_u64(want("seed"), ctx, "seed");
+      config.seed = in.u64("seed");
       config.cluster.seed = config.seed;
     } else if (key == "san") {
-      config.cluster.san.enabled = parse_on_off(want("on|off"), ctx);
+      config.cluster.san.enabled = parse_on_off(in);
     } else if (key == "detector") {
-      config.cluster.detector.enabled = parse_on_off(want("on|off"), ctx);
+      config.cluster.detector.enabled = parse_on_off(in);
     } else if (key == "report_loss") {
-      config.cluster.net.report_loss =
-          parse_double(want("probability"), ctx, "report loss");
+      config.cluster.net.report_loss = in.number("report loss");
       if (config.cluster.net.report_loss < 0.0 ||
           config.cluster.net.report_loss > 1.0) {
-        config_failure(ctx, "report_loss must be in [0, 1]");
+        in.fail("report_loss must be in [0, 1]");
       }
     } else if (key == "routing_delay") {
-      config.cluster.routing.distribution_delay =
-          parse_double(want("seconds"), ctx, "routing delay");
+      config.cluster.routing.distribution_delay = in.number("routing delay");
       if (config.cluster.routing.distribution_delay < 0.0) {
-        config_failure(ctx, "routing_delay must be >= 0 (0 = off)");
+        in.fail("routing_delay must be >= 0 (0 = off)");
       }
     } else if (key == "movement") {
-      config.cluster.movement.enabled = parse_on_off(want("on|off"), ctx);
+      config.cluster.movement.enabled = parse_on_off(in);
     } else if (key == "threshold") {
-      const std::string v = want("value");
+      const std::string v = in.word("threshold");
       if (v == "auto") {
         config.auto_threshold = true;
       } else {
-        config.threshold = parse_double(v, ctx, "threshold");
+        config.threshold = in.number(v, "threshold");
         if (config.threshold < 0.0) {
-          config_failure(ctx, "threshold must be >= 0 (or auto)");
+          in.fail("threshold must be >= 0 (or auto)");
         }
       }
     } else if (key == "max_scale") {
-      config.max_scale = parse_double(want("value"), ctx, "max_scale");
+      config.max_scale = in.number("max_scale");
       if (config.max_scale <= 1.0) {
-        config_failure(ctx, "max_scale must be > 1 (a per-round factor)");
+        in.fail("max_scale must be > 1 (a per-round factor)");
       }
     } else if (key == "average") {
-      const std::string v = want("mean|median");
+      const std::string v = in.word("mean|median");
       if (v == "median") {
         config.median_average = true;
       } else if (v != "mean") {
-        config_failure(ctx, "expected mean|median");
+        in.fail("expected mean|median");
       }
     } else if (key == "fail" || key == "recover") {
       MembershipEvent e;
       e.kind = key == "fail" ? MembershipEvent::Kind::kFail
                              : MembershipEvent::Kind::kRecover;
-      e.time = parse_double(want("time"), ctx, "time");
-      e.server = parse_u32(want("server"), ctx, "server id");
+      e.time = in.number("time");
+      e.server = in.u32("server id");
       config.events.push_back(e);
     } else if (key == "add") {
       MembershipEvent e;
       e.kind = MembershipEvent::Kind::kAdd;
-      e.time = parse_double(want("time"), ctx, "time");
-      e.server = parse_u32(want("server"), ctx, "server id");
-      e.speed = parse_double(want("speed"), ctx, "speed");
+      e.time = in.number("time");
+      e.server = in.u32("server id");
+      e.speed = in.number("speed");
       config.events.push_back(e);
     } else if (key == "faults") {
-      const fault::FaultPlan loaded = fault::load_fault_plan(want("path"));
-      // Merge so `faults` and inline `fault` lines compose.
-      config.faults.crashes.insert(config.faults.crashes.end(),
-                                   loaded.crashes.begin(),
-                                   loaded.crashes.end());
-      config.faults.recoveries.insert(config.faults.recoveries.end(),
-                                      loaded.recoveries.begin(),
-                                      loaded.recoveries.end());
-      config.faults.additions.insert(config.faults.additions.end(),
-                                     loaded.additions.begin(),
-                                     loaded.additions.end());
-      config.faults.limps.insert(config.faults.limps.end(),
-                                 loaded.limps.begin(), loaded.limps.end());
-      config.faults.san_slowdowns.insert(config.faults.san_slowdowns.end(),
-                                         loaded.san_slowdowns.begin(),
-                                         loaded.san_slowdowns.end());
-      config.faults.flaky_moves.insert(config.faults.flaky_moves.end(),
-                                       loaded.flaky_moves.begin(),
-                                       loaded.flaky_moves.end());
+      // Appends, so `faults` and inline `fault` lines compose.
+      fault::load_fault_plan(in.word("path"), config.faults);
     } else if (key == "fault") {
-      std::string directive;
-      std::getline(ss, directive);
-      if (directive.find_first_not_of(" \t") == std::string::npos) {
-        config_failure(ctx, "missing fault directive");
-      }
-      fault::parse_fault_directive(directive, config.faults);
+      fault::parse_fault_directive(in, config.faults);
     } else if (key == "emit") {
-      const std::string v = want("series|summary");
+      const std::string v = in.word("series|summary");
       if (v == "series") {
         config.emit_series = true;
       } else if (v != "summary") {
-        config_failure(ctx, "expected series|summary");
+        in.fail("expected series|summary");
       }
     } else if (key == "trace") {
-      config.trace_path = want("path");
+      config.trace_path = in.word("path");
     } else if (key == "trace_categories") {
-      const std::string v = want("categories");
+      const std::string v = in.word("categories");
       const std::optional<std::uint32_t> mask = obs::parse_categories(v);
       if (!mask.has_value()) {
-        config_failure(ctx,
-                       "bad trace categories '" + v +
-                           "' (expected a comma list of delegate,tuner,"
-                           "move,cache,fault,sched or 'all')");
+        in.fail("bad trace categories '" + v +
+                "' (expected a comma list of delegate,tuner,"
+                "move,cache,fault,sched or 'all')");
       }
       config.trace_categories = *mask;
     } else if (key == "jobs") {
-      config.jobs =
-          static_cast<std::size_t>(parse_u64(want("count"), ctx, "jobs"));
-      if (config.jobs == 0) config_failure(ctx, "jobs must be >= 1");
+      config.jobs = static_cast<std::size_t>(in.u64("jobs"));
+      if (config.jobs == 0) in.fail("jobs must be >= 1");
     } else if (key == "sweep") {
-      parse_sweep(want("seed=A..B"), config, ctx);
+      parse_sweep(in, config);
     } else if (key == "serve_threads") {
-      config.serve_threads = parse_u32(want("count"), ctx, "serve_threads");
+      config.serve_threads = in.u32("serve_threads");
     } else if (key == "serve_seconds") {
-      config.serve_seconds =
-          parse_double(want("seconds"), ctx, "serve_seconds");
-      if (config.serve_seconds <= 0) {
-        config_failure(ctx, "serve_seconds must be > 0");
-      }
+      config.serve_seconds = in.number("serve_seconds");
+      if (config.serve_seconds <= 0) in.fail("serve_seconds must be > 0");
     } else {
-      config_failure(ctx, "unknown key '" + key + "'");
+      in.fail("unknown key '" + key + "'");
     }
+    in.end();
   }
   // Degenerate pow-d widths: more choices than the cluster has servers
   // is well-defined (probe everyone) but almost certainly a typo, so
@@ -408,6 +300,12 @@ ScenarioConfig parse_scenario(std::istream& is,
 ScenarioConfig parse_scenario_text(const std::string& text) {
   std::istringstream is(text);
   return parse_scenario(is, "<inline>");
+}
+
+ScenarioConfig load_scenario(const std::string& path) {
+  if (path == "-") return parse_scenario(std::cin, "<stdin>");
+  std::ifstream in = open_input("anufs-scenario", path);
+  return parse_scenario(in, path);
 }
 
 namespace {

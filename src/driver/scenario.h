@@ -2,7 +2,9 @@
 // no C++ required. This is the operator-facing surface of the
 // simulator; `tools/anufs_sim` is the CLI wrapper.
 //
-// Config format (line-oriented; '#' comments):
+// Config format (the token grammar of common/line_reader.h: '#'
+// comments, whole-token finite numbers, digit-first integers, no
+// trailing tokens):
 //
 //   workload synthetic | dfstrace | opmix | trace <path>
 //   policy <name>              # any registered policy
@@ -55,12 +57,14 @@
 //   serve_seconds 2            # serving window (wall-clock seconds,
 //                              #   > 0)
 //
-// A value outside its stated range aborts at parse time with the same
-// <source>:<line> diagnostic as a malformed one.
+// A malformed line, or a value outside its stated range, aborts at
+// parse time with "anufs-scenario: <source>:<line>: <what>" naming the
+// token; an inline `fault` line is reported the same way.
 //
 // The `fail`/`recover`/`add` membership script and the fault plan both
-// inject membership churn; they compose, but a server they both touch
-// must follow the usual alive/crashed alternation or the run aborts.
+// inject membership churn; they compose. A crash of a server that is
+// already down (fenced for lost reports, or crashed by the other
+// script) does nothing; recovering a live server aborts the run.
 #pragma once
 
 #include <cstdint>
@@ -137,8 +141,8 @@ struct ScenarioConfig {
   double serve_seconds = 1.0;
 };
 
-/// Parse a scenario; aborts with a <source>:<line>: <token> diagnostic
-/// on malformed input (never an uncaught std::invalid_argument).
+/// Parse a scenario; aborts with a <source>:<line>: <what> diagnostic
+/// naming the bad token on malformed input.
 /// `source_name` names the input in diagnostics (the file path, or
 /// "<stdin>"/"<inline>").
 [[nodiscard]] ScenarioConfig parse_scenario(
@@ -146,6 +150,10 @@ struct ScenarioConfig {
 
 /// Parse from a string (tests, inline configs).
 [[nodiscard]] ScenarioConfig parse_scenario_text(const std::string& text);
+
+/// Parse the scenario file at `path` ("-" reads standard input); aborts
+/// if it cannot be opened.
+[[nodiscard]] ScenarioConfig load_scenario(const std::string& path);
 
 /// Build everything and run; prints results to `os`. Returns the run
 /// result for programmatic use.

@@ -4,131 +4,79 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <istream>
 #include <map>
 #include <set>
 #include <sstream>
 
-#include "common/check.h"
+#include "common/line_reader.h"
 
 namespace anufs::fault {
 
-namespace {
-
-[[noreturn]] void plan_failure(std::size_t line_no, const std::string& what) {
-  std::fprintf(stderr, "anufs-fault-plan: line %zu: %s\n", line_no,
-               what.c_str());
-  std::abort();
-}
-
-double want_double(std::istringstream& ss, std::size_t line_no,
-                   const char* what) {
-  std::string token;
-  if (!(ss >> token)) plan_failure(line_no, std::string("missing ") + what);
-  try {
-    return std::stod(token);
-  } catch (...) {
-    plan_failure(line_no, std::string("bad ") + what + " '" + token + "'");
-  }
-}
-
-std::uint32_t want_u32(std::istringstream& ss, std::size_t line_no,
-                       const char* what) {
-  std::string token;
-  if (!(ss >> token)) plan_failure(line_no, std::string("missing ") + what);
-  try {
-    return static_cast<std::uint32_t>(std::stoul(token));
-  } catch (...) {
-    plan_failure(line_no, std::string("bad ") + what + " '" + token + "'");
-  }
-}
-
-void expect_end(std::istringstream& ss, std::size_t line_no) {
-  std::string extra;
-  if (ss >> extra) plan_failure(line_no, "trailing token '" + extra + "'");
-}
-
-void parse_line(const std::string& raw, std::size_t line_no,
-                FaultPlan& plan) {
-  std::string line = raw;
-  if (const auto hash_pos = line.find('#'); hash_pos != std::string::npos) {
-    line.resize(hash_pos);
-  }
-  std::istringstream ss(line);
-  std::string key;
-  if (!(ss >> key)) return;
-  if (key == "crash") {
+void parse_fault_directive(LineReader& in, FaultPlan& plan) {
+  const std::string kind = in.word("fault directive");
+  if (kind == "crash") {
     CrashEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
+    e.time = in.number("time");
+    e.server = in.u32("server");
     plan.crashes.push_back(e);
-  } else if (key == "recover") {
+  } else if (kind == "recover") {
     RecoverEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
+    e.time = in.number("time");
+    e.server = in.u32("server");
     plan.recoveries.push_back(e);
-  } else if (key == "add") {
+  } else if (kind == "add") {
     AddEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
-    e.speed = want_double(ss, line_no, "speed");
+    e.time = in.number("time");
+    e.server = in.u32("server");
+    e.speed = in.number("speed");
     plan.additions.push_back(e);
-  } else if (key == "limp") {
+  } else if (kind == "limp") {
     LimpWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.server = want_u32(ss, line_no, "server");
-    w.factor = want_double(ss, line_no, "factor");
+    w.begin = in.number("begin");
+    w.end = in.number("end");
+    w.server = in.u32("server");
+    w.factor = in.number("factor");
     plan.limps.push_back(w);
-  } else if (key == "san_slow") {
+  } else if (kind == "san_slow") {
     SanSlowWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.factor = want_double(ss, line_no, "factor");
+    w.begin = in.number("begin");
+    w.end = in.number("end");
+    w.factor = in.number("factor");
     plan.san_slowdowns.push_back(w);
-  } else if (key == "move_flaky") {
+  } else if (kind == "move_flaky") {
     MoveFlakyWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.probability = want_double(ss, line_no, "probability");
-    w.max_retries = want_u32(ss, line_no, "max_retries");
-    w.backoff = want_double(ss, line_no, "backoff");
+    w.begin = in.number("begin");
+    w.end = in.number("end");
+    w.probability = in.number("probability");
+    w.max_retries = in.u32("max_retries");
+    w.backoff = in.number("backoff");
     plan.flaky_moves.push_back(w);
   } else {
-    plan_failure(line_no, "unknown directive '" + key + "'");
+    in.fail("unknown directive '" + kind + "'");
   }
-  expect_end(ss, line_no);
+  in.end();
 }
 
-}  // namespace
-
-FaultPlan parse_fault_plan(std::istream& is) {
-  FaultPlan plan;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    parse_line(line, line_no, plan);
-  }
-  return plan;
-}
+constexpr const char* kTool = "anufs-fault-plan";
 
 FaultPlan parse_fault_plan_text(const std::string& text) {
   std::istringstream is(text);
-  return parse_fault_plan(is);
+  LineReader in(is, kTool, "<fault-plan>");
+  FaultPlan plan;
+  while (in.next()) parse_fault_directive(in, plan);
+  return plan;
 }
 
-void parse_fault_directive(const std::string& line, FaultPlan& plan) {
-  parse_line(line, /*line_no=*/1, plan);
+void load_fault_plan(const std::string& path, FaultPlan& plan) {
+  std::ifstream file = open_input(kTool, path);
+  LineReader in(file, kTool, path);
+  while (in.next()) parse_fault_directive(in, plan);
 }
 
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "anufs-fault-plan: cannot open %s\n", path.c_str());
-    std::abort();
-  }
-  return parse_fault_plan(in);
+  FaultPlan plan;
+  load_fault_plan(path, plan);
+  return plan;
 }
 
 namespace {

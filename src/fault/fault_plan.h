@@ -10,7 +10,9 @@
 // a plan replays bit-identically for a given seed regardless of the
 // --jobs count — the same reproducibility contract as sweeps.
 //
-// Plan grammar (line-oriented; '#' starts a comment):
+// Plan grammar (the token grammar of common/line_reader.h: '#' comments,
+// whole-token finite numbers, digit-first u32 ids, no trailing tokens; a
+// bad line aborts with "anufs-fault-plan: <source>:<line>: <what>"):
 //
 //   crash <time> <server>                 # server crashes at <time>
 //   recover <time> <server>               # crashed server rejoins
@@ -29,11 +31,14 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/ids.h"
+
+namespace anufs {
+class LineReader;  // common/line_reader.h
+}  // namespace anufs
 
 namespace anufs::fault {
 
@@ -103,18 +108,20 @@ struct FaultPlan {
   }
 };
 
-/// Parse a plan; aborts with a line diagnostic on malformed input
-/// (mirrors driver::parse_scenario's contract).
-[[nodiscard]] FaultPlan parse_fault_plan(std::istream& is);
-
-/// Parse from a string (tests, inline configs).
+/// Parse a plan held in a string; diagnostics name it "<fault-plan>".
 [[nodiscard]] FaultPlan parse_fault_plan_text(const std::string& text);
 
-/// Parse a single directive line ("crash 300 2"); aborts on error.
-/// Used for inline `fault <directive>` scenario keys.
-void parse_fault_directive(const std::string& line, FaultPlan& plan);
+/// Read one directive ("crash 300 2") from the rest of the reader's
+/// current line into `plan`, through the line's end. The scenario's
+/// inline `fault` key calls this with its own reader, so a bad directive
+/// is reported at the scenario's source and line.
+void parse_fault_directive(LineReader& in, FaultPlan& plan);
 
-/// Load a plan from a file; aborts if the file cannot be opened.
+/// Load a plan file, appending its directives to `plan`; aborts if the
+/// file cannot be opened or a line is malformed.
+void load_fault_plan(const std::string& path, FaultPlan& plan);
+
+/// Load a plan file into a fresh plan.
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
 
 /// Check a plan against a cluster of `n_initial_servers` (ids

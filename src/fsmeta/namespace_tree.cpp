@@ -1,11 +1,10 @@
 #include "fsmeta/namespace_tree.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
+
+#include "common/line_reader.h"
 
 namespace anufs::fsmeta {
 
@@ -245,78 +244,56 @@ void NamespaceTree::serialize(std::ostream& os) const {
   for (const InodeId id : ids) {
     const Inode& node = inodes_.at(id);
     for (const auto& [name, child] : node.entries) {
-      // Names are tokens (no whitespace) by construction.
-      ANUFS_EXPECTS(name.find_first_of(" \t\n") == std::string::npos);
+      // Names are tokens (no whitespace, no '#') by construction.
+      ANUFS_EXPECTS(name.find_first_of(" \t\n#") == std::string::npos);
       os << "entry " << id.value << ' ' << name << ' ' << child.value
          << "\n";
     }
   }
 }
 
-namespace {
-
-[[noreturn]] void ns_parse_failure(std::size_t line_no, const char* what) {
-  std::fprintf(stderr, "anufs-namespace: parse error at line %zu: %s\n",
-               line_no, what);
-  std::abort();
-}
-
-}  // namespace
-
 NamespaceTree NamespaceTree::deserialize(std::istream& is) {
   NamespaceTree tree;
   tree.inodes_.clear();  // the parsed root replaces the default one
-  std::string line;
-  std::size_t line_no = 0;
-  if (!std::getline(is, line) ||
-      line.rfind("# anufs-namespace v1", 0) != 0) {
-    ns_parse_failure(1, "missing '# anufs-namespace v1' magic");
-  }
-  ++line_no;
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::istringstream ss(line);
-    std::string kind;
-    if (!(ss >> kind) || kind[0] == '#') continue;
+  std::string magic;
+  const bool has_magic = static_cast<bool>(std::getline(is, magic)) &&
+                         magic.rfind("# anufs-namespace v1", 0) == 0;
+  LineReader in(is, "anufs-namespace", "<namespace>", /*lines_read=*/1);
+  if (!has_magic) in.fail("missing '# anufs-namespace v1' magic");
+  while (in.next()) {
+    const std::string kind = in.word("record kind");
     if (kind == "next") {
-      if (!(ss >> tree.next_inode_)) ns_parse_failure(line_no, "bad next");
+      tree.next_inode_ = in.u64("next inode");
     } else if (kind == "inode") {
-      std::uint64_t id = 0;
-      char type = 0;
-      Attributes attrs;
-      if (!(ss >> id >> type >> attrs.size >> attrs.mtime >> attrs.nlink) ||
-          (type != 'f' && type != 'd')) {
-        ns_parse_failure(line_no, "bad inode record");
-      }
-      attrs.type = type == 'd' ? FileType::kDirectory : FileType::kFile;
+      const InodeId id{in.u64("inode id")};
+      const std::string type = in.word("inode type");
+      if (type != "f" && type != "d") in.fail("bad inode type '" + type + "'");
       Inode node;
-      node.attrs = attrs;
-      if (!tree.inodes_.emplace(InodeId{id}, std::move(node)).second) {
-        ns_parse_failure(line_no, "duplicate inode");
+      node.attrs.type = type == "d" ? FileType::kDirectory : FileType::kFile;
+      node.attrs.size = in.u64("size");
+      node.attrs.mtime = in.u64("mtime");
+      node.attrs.nlink = in.u32("nlink");
+      if (!tree.inodes_.emplace(id, std::move(node)).second) {
+        in.fail("duplicate inode");
       }
     } else if (kind == "entry") {
-      std::uint64_t dir = 0;
-      std::string name;
-      std::uint64_t child = 0;
-      if (!(ss >> dir >> name >> child)) {
-        ns_parse_failure(line_no, "bad entry record");
-      }
-      Inode* parent = tree.find(InodeId{dir});
+      Inode* parent = tree.find(InodeId{in.u64("directory inode")});
+      std::string name = in.word("entry name");
+      const InodeId child{in.u64("child inode")};
       if (parent == nullptr ||
           parent->attrs.type != FileType::kDirectory ||
-          !tree.inodes_.contains(InodeId{child})) {
-        ns_parse_failure(line_no, "entry references missing inode");
+          !tree.inodes_.contains(child)) {
+        in.fail("entry references missing inode");
       }
-      if (!parent->entries.emplace(name, InodeId{child}).second) {
-        ns_parse_failure(line_no, "duplicate entry");
+      if (!parent->entries.emplace(std::move(name), child).second) {
+        in.fail("duplicate entry");
       }
     } else {
-      ns_parse_failure(line_no, "unknown record kind");
+      in.fail("unknown record kind '" + kind + "'");
     }
+    in.end();
   }
-  if (!tree.inodes_.contains(kRootInode)) {
-    ns_parse_failure(line_no, "missing root inode");
-  }
+  if (!tree.inodes_.contains(kRootInode)) in.fail("missing root inode");
   tree.check_consistency();
   return tree;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 
 namespace anufs::obs {
 
@@ -32,12 +33,7 @@ const char* category_name(Category c) noexcept {
 std::optional<std::uint32_t> parse_categories(const std::string& csv) {
   if (csv.empty() || csv == "all") return kAllCategories;
   std::uint32_t mask = 0;
-  std::string token;
-  for (const char ch : csv + ",") {
-    if (ch != ',') {
-      token += ch;
-      continue;
-    }
+  for (const std::string& token : split(csv, ',')) {
     if (token.empty()) continue;
     bool found = false;
     for (const CategoryEntry& e : kCategories) {
@@ -48,7 +44,6 @@ std::optional<std::uint32_t> parse_categories(const std::string& csv) {
       }
     }
     if (!found) return std::nullopt;
-    token.clear();
   }
   return mask;
 }

@@ -4,21 +4,11 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 
 namespace anufs::workload {
-
-namespace {
-
-[[noreturn]] void parse_failure(std::size_t line_no, const std::string& what) {
-  std::fprintf(stderr, "anufs-trace: parse error at line %zu: %s\n", line_no,
-               what.c_str());
-  std::abort();
-}
-
-}  // namespace
 
 void write_trace(std::ostream& os, const Workload& workload) {
   os << "# anufs-trace v1\n";
@@ -34,79 +24,71 @@ void write_trace(std::ostream& os, const Workload& workload) {
   }
 }
 
-Workload read_trace(std::istream& is) {
+namespace {
+
+constexpr const char* kTool = "anufs-trace";
+
+Workload read_trace_from(std::istream& is, const std::string& source) {
   Workload w;
   w.name = "trace";
-  std::string line;
-  std::size_t line_no = 0;
-
-  if (!std::getline(is, line) || line.rfind("# anufs-trace v1", 0) != 0) {
-    parse_failure(1, "missing '# anufs-trace v1' magic");
-  }
-  ++line_no;
+  std::string magic;
+  const bool has_magic = static_cast<bool>(std::getline(is, magic)) &&
+                         magic.rfind("# anufs-trace v1", 0) == 0;
+  LineReader in(is, kTool, source, /*lines_read=*/1);
+  if (!has_magic) in.fail("missing '# anufs-trace v1' magic");
 
   bool saw_duration = false;
   std::size_t last_req_line = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    // Strip comments and blank lines.
-    if (const auto hash_pos = line.find('#'); hash_pos != std::string::npos) {
-      line.resize(hash_pos);
-    }
-    std::istringstream ss(line);
-    std::string kind;
-    if (!(ss >> kind)) continue;
-
+  while (in.next()) {
+    const std::string kind = in.word("record kind");
     if (kind == "duration") {
-      if (!(ss >> w.duration) || w.duration <= 0.0) {
-        parse_failure(line_no, "bad duration");
-      }
+      w.duration = in.number("duration");
+      if (w.duration <= 0.0) in.fail("bad duration (must be > 0)");
       saw_duration = true;
     } else if (kind == "fileset") {
-      std::uint32_t id = 0;
-      std::string name;
-      double weight = 0.0;
-      if (!(ss >> id >> name >> weight)) {
-        parse_failure(line_no, "bad fileset record");
-      }
+      const std::uint32_t id = in.u32("fileset id");
+      std::string name = in.word("fileset name");
+      const double weight = in.number("fileset weight");
       if (id != w.file_sets.size()) {
-        parse_failure(line_no, "fileset ids must be dense from 0");
+        in.fail("fileset ids must be dense from 0");
       }
-      if (!(weight > 0.0)) parse_failure(line_no, "fileset weight must be > 0");
+      if (!(weight > 0.0)) in.fail("fileset weight must be > 0");
       w.file_sets.push_back(FileSetSpec::make(id, std::move(name), weight));
     } else if (kind == "req") {
-      double time = 0.0;
-      std::uint32_t fs = 0;
-      double demand = 0.0;
-      if (!(ss >> time >> fs >> demand)) {
-        parse_failure(line_no, "bad req record");
-      }
+      const double time = in.number("req time");
+      const std::uint32_t fs = in.u32("req fileset id");
+      const double demand = in.number("req demand");
       if (fs >= w.file_sets.size()) {
-        parse_failure(line_no, "req references undeclared fileset");
+        in.fail("req references undeclared fileset");
       }
-      if (!(time >= 0.0)) parse_failure(line_no, "req time must be >= 0");
+      if (!(time >= 0.0)) in.fail("req time must be >= 0");
       if (saw_duration && time > w.duration) {
-        parse_failure(line_no, "req time beyond the duration");
+        in.fail("req time beyond the duration");
       }
-      if (!(demand > 0.0)) parse_failure(line_no, "req demand must be > 0");
+      if (!(demand > 0.0)) in.fail("req demand must be > 0");
       if (!w.requests.empty() && time < w.requests.back().time) {
-        parse_failure(line_no, "requests out of time order");
+        in.fail("requests out of time order");
       }
       w.requests.push_back(RequestEvent{time, FileSetId{fs}, demand});
-      last_req_line = line_no;
+      last_req_line = in.line();
     } else {
-      parse_failure(line_no, "unknown record kind '" + kind + "'");
+      in.fail("unknown record kind '" + kind + "'");
     }
+    in.end();
   }
-  if (!saw_duration) parse_failure(line_no, "missing duration record");
+  if (!saw_duration) in.fail("missing duration record");
   // A duration read after the requests: they are in time order, so the
   // last one is the latest.
   if (!w.requests.empty() && w.requests.back().time > w.duration) {
-    parse_failure(last_req_line, "req time beyond the duration");
+    in.fail_at(last_req_line, "req time beyond the duration");
   }
   w.validate();
   return w;
 }
+
+}  // namespace
+
+Workload read_trace(std::istream& is) { return read_trace_from(is, "<trace>"); }
 
 void save_trace(const std::string& path, const Workload& workload) {
   std::ofstream out(path);
@@ -116,9 +98,8 @@ void save_trace(const std::string& path, const Workload& workload) {
 }
 
 Workload load_trace(const std::string& path) {
-  std::ifstream in(path);
-  ANUFS_EXPECTS(in.good());
-  return read_trace(in);
+  std::ifstream in = open_input(kTool, path);
+  return read_trace_from(in, path);
 }
 
 }  // namespace anufs::workload

@@ -368,5 +368,42 @@ TEST(LossyReports, RejoinedServerStartsWithNoMisses) {
   EXPECT_EQ(policy.servers(), std::vector<ServerId>{ServerId{3}});
 }
 
+TEST(LossyReports, ScheduledCrashOfFencedServerIsANoOp) {
+  // Lost reports fence server 4 at t=1080, before its scheduled crash at
+  // t=1200. The crash finds it down and does nothing; the scheduled
+  // recovery at t=2400 brings it back.
+  workload::SyntheticConfig wc;
+  wc.file_sets = 100;
+  wc.total_requests = 30000;
+  wc.duration = 6000.0;
+  wc.seed = 10;
+  const workload::Workload work = workload::make_synthetic(wc);
+  cluster::ClusterConfig cc;
+  cc.server_speeds = {1, 3, 5, 7, 9};
+  cc.seed = 10;
+  cc.net.report_loss = 0.2;
+  policy::AnuPolicy anu{core::AnuConfig{}};
+  RecordingPolicy policy{anu};
+  cluster::ClusterSim sim(cc, work, policy);
+  sim.schedule_failure(1200.0, ServerId{4});
+  sim.schedule_recovery(2400.0, ServerId{4});
+  sim.schedule_addition(3600.0, ServerId{5}, 9.0);
+  const cluster::RunResult r = sim.run();
+  ASSERT_FALSE(policy.failed.empty());
+  EXPECT_EQ(policy.failed[0], ServerId{4});
+  EXPECT_EQ(r.total_requests, r.completed + r.lost + r.queued_at_end +
+                                  r.held_at_end + r.in_transit_at_end);
+  std::size_t rounds_after_recovery = 0;
+  for (const RecordingPolicy::Round& round : policy.rounds) {
+    if (round.now <= 2400.0) continue;
+    ++rounds_after_recovery;
+    EXPECT_EQ(std::count(round.members.begin(), round.members.end(),
+                         ServerId{4}),
+              1)
+        << "t=" << round.now;
+  }
+  EXPECT_GT(rounds_after_recovery, 0u);
+}
+
 }  // namespace
 }  // namespace anufs::core

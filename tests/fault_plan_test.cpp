@@ -52,22 +52,40 @@ TEST(FaultPlanParse, EmptyAndCommentOnlyPlansAreEmpty) {
 }
 
 TEST(FaultPlanParse, MalformedDirectivesAbortWithLineDiagnostic) {
-  EXPECT_DEATH((void)parse_fault_plan_text("crash oops 2\n"), "line 1");
-  EXPECT_DEATH((void)parse_fault_plan_text("# ok\nfrob 1 2\n"), "line 2");
-  EXPECT_DEATH((void)parse_fault_plan_text("crash 300 2 extra\n"), "line 1");
+  EXPECT_DEATH((void)parse_fault_plan_text("crash oops 2\n"),
+               "<fault-plan>:1: bad time 'oops'");
+  EXPECT_DEATH((void)parse_fault_plan_text("# ok\nfrob 1 2\n"),
+               "<fault-plan>:2: unknown directive 'frob'");
+  EXPECT_DEATH((void)parse_fault_plan_text("crash 300 2 extra\n"),
+               "<fault-plan>:1: trailing token 'extra'");
   // Backwards windows parse (they are syntactically fine) but never
   // validate.
   EXPECT_FALSE(
       validate(parse_fault_plan_text("limp 100 50 1 0.5\n"), 5).empty());
 }
 
-TEST(FaultPlanParse, SingleDirectiveHelper) {
-  FaultPlan plan;
-  parse_fault_directive("crash 12.5 3", plan);
-  parse_fault_directive("limp 1 2 0 0.5", plan);
-  ASSERT_EQ(plan.crashes.size(), 1u);
-  EXPECT_EQ(plan.crashes[0].time, 12.5);
-  ASSERT_EQ(plan.limps.size(), 1u);
+// Numbers are whole finite tokens and server ids fit in 32 bits: each
+// bad token is named at its own line (line 2, after a comment).
+TEST(FaultPlanParseDeathTest, MalformedNumbersNamedAtTheirLine) {
+  const struct {
+    const char* directive;
+    const char* diagnostic;
+  } cases[] = {
+      {"crash 300x 2", "bad time '300x'"},
+      {"crash 300 4294967298", "bad server '4294967298'"},
+      {"crash nan 2", "bad time 'nan'"},
+      {"crash inf 2", "bad time 'inf'"},
+      {"crash 300 -1", "bad server '-1'"},
+      {"add 100 7 2.5junk", "bad speed '2.5junk'"},
+      {"limp 10 20 1 0.5e", "bad factor '0.5e'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.directive);
+    EXPECT_DEATH(
+        (void)parse_fault_plan_text(std::string("# plan\n") + c.directive +
+                                    "\n"),
+        std::string("anufs-fault-plan: <fault-plan>:2: ") + c.diagnostic);
+  }
 }
 
 TEST(FaultPlanParse, LoadFromFile) {

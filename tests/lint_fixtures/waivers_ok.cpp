@@ -2,6 +2,7 @@
 // on the same line or the comment block above must be suppressed. This
 // file must lint CLEAN. NOT compiled.
 #include <cstdint>
+#include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +24,11 @@ struct Waived {
 
   ANUFS_HOT void amortized_append(std::uint64_t v) {
     rows_.push_back(v);  // anufs-lint: safe(H1) amortized: pre-reserved.
+  }
+
+  static double environment_knob(const char* text) {
+    // anufs-lint: safe(P1) an environment variable, not an input file.
+    return std::strtod(text, nullptr);
   }
 };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -96,6 +97,57 @@ serve_seconds 0.2
   EXPECT_GT(r.completed, 1000u);
   EXPECT_NE(os.str().find("serving 2 threads"), std::string::npos);
   EXPECT_NE(os.str().find("serving equivalence OK"), std::string::npos);
+}
+
+TEST(ScenarioParse, InlineFaultDirectives) {
+  const ScenarioConfig c = parse_scenario_text(
+      "fault crash 12.5 3\n"
+      "fault limp 1 2 0 0.5\n");
+  ASSERT_EQ(c.faults.crashes.size(), 1u);
+  EXPECT_EQ(c.faults.crashes[0].time, 12.5);
+  EXPECT_EQ(c.faults.crashes[0].server, 3u);
+  ASSERT_EQ(c.faults.limps.size(), 1u);
+  EXPECT_EQ(c.faults.limps[0].factor, 0.5);
+  EXPECT_EQ(c.faults.event_count(), 2u);
+}
+
+TEST(ScenarioParse, FaultsFileAndInlineFaultsCompose) {
+  const std::string path = testing::TempDir() + "/scenario_plan.flt";
+  {
+    std::ofstream out(path);
+    out << "crash 10 0\nsan_slow 5 15 2.0\n";
+  }
+  const ScenarioConfig c = parse_scenario_text("fault crash 20 1\nfaults " +
+                                               path + "\nfault recover 30 0\n");
+  ASSERT_EQ(c.faults.crashes.size(), 2u);
+  EXPECT_EQ(c.faults.crashes[0].server, 1u);  // inline line 1
+  EXPECT_EQ(c.faults.crashes[1].server, 0u);  // from the file
+  EXPECT_EQ(c.faults.san_slowdowns.size(), 1u);
+  EXPECT_EQ(c.faults.recoveries.size(), 1u);
+  EXPECT_EQ(c.faults.event_count(), 4u);
+}
+
+// Inline fault directives and scenario keys share one reader: a bad
+// token is named at the scenario's own source and line (line 3 here,
+// after two good lines).
+TEST(ScenarioParseDeathTest, MalformedLinesNamedAtTheirLine) {
+  const struct {
+    const char* line;
+    const char* diagnostic;
+  } cases[] = {
+      {"fault crash 300x 2", "bad time '300x'"},
+      {"fault add 100 7 2.5junk", "bad speed '2.5junk'"},
+      {"fault frob 1 2", "unknown directive 'frob'"},
+      {"fault", "missing fault directive"},
+      {"period 60 extra", "trailing token 'extra'"},
+      {"servers 1,3x,5", "bad speed '3x'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    EXPECT_DEATH((void)parse_scenario_text(
+                     std::string("policy anu\nseed 1\n") + c.line + "\n"),
+                 std::string("anufs-scenario: <inline>:3: ") + c.diagnostic);
+  }
 }
 
 TEST(ScenarioParseDeathTest, UnknownKey) {

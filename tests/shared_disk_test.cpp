@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace anufs::disk {
 namespace {
@@ -55,6 +56,28 @@ TEST(NamespaceSerialize, NextInodeSurvives) {
 TEST(NamespaceSerializeDeathTest, RejectsGarbage) {
   std::istringstream is("not a namespace\n");
   EXPECT_DEATH((void)fsmeta::NamespaceTree::deserialize(is), "magic");
+}
+
+// Checkpoint images use the shared token grammar: each bad token is
+// named at its own line (line 3).
+TEST(NamespaceSerializeDeathTest, MalformedTokensNamedAtTheirLine) {
+  const struct {
+    const char* line;
+    const char* diagnostic;
+  } cases[] = {
+      {"next 5x", "bad next inode '5x'"},
+      {"inode 9 q 0 0 1", "bad inode type 'q'"},
+      {"inode 9 f 0 0 4294967296", "bad nlink '4294967296'"},
+      {"inode 9 f 0 0 1 extra", "trailing token 'extra'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    std::istringstream is(std::string("# anufs-namespace v1\nnext 2\n") +
+                          c.line + "\n");
+    EXPECT_DEATH((void)fsmeta::NamespaceTree::deserialize(is),
+                 std::string("anufs-namespace: <namespace>:3: ") +
+                     c.diagnostic);
+  }
 }
 
 TEST(Journal, AppendTracksDirty) {

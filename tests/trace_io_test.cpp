@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "workload/synthetic.h"
 
@@ -106,33 +108,64 @@ TEST(TraceIoDeathTest, RejectsBadDuration) {
 TEST(TraceIoDeathTest, RejectsNegativeRequestTime) {
   std::stringstream in(
       "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq -1 0 0.1\n");
-  EXPECT_DEATH((void)read_trace(in), "line 4: req time must be >= 0");
+  EXPECT_DEATH((void)read_trace(in), "<trace>:4: req time must be >= 0");
 }
 
 TEST(TraceIoDeathTest, RejectsRequestBeyondDuration) {
   std::stringstream in(
       "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq 1 0 0.1\n"
       "req 10.5 0 0.1\n");
-  EXPECT_DEATH((void)read_trace(in), "line 5: req time beyond the duration");
+  EXPECT_DEATH((void)read_trace(in), "<trace>:5: req time beyond the duration");
 }
 
 TEST(TraceIoDeathTest, RejectsRequestBeyondLaterDuration) {
   std::stringstream in(
       "# anufs-trace v1\nfileset 0 x 1\nreq 1 0 0.1\nreq 12 0 0.1\n"
       "duration 10\n");
-  EXPECT_DEATH((void)read_trace(in), "line 4: req time beyond the duration");
+  EXPECT_DEATH((void)read_trace(in), "<trace>:4: req time beyond the duration");
 }
 
 TEST(TraceIoDeathTest, RejectsNonPositiveDemand) {
   std::stringstream in(
       "# anufs-trace v1\nduration 10\nfileset 0 x 1\nreq 1 0 0\n");
-  EXPECT_DEATH((void)read_trace(in), "line 4: req demand must be > 0");
+  EXPECT_DEATH((void)read_trace(in), "<trace>:4: req demand must be > 0");
 }
 
 TEST(TraceIoDeathTest, RejectsNonPositiveFileSetWeight) {
   std::stringstream in(
       "# anufs-trace v1\nduration 10\nfileset 0 x 1\nfileset 1 y -2\n");
-  EXPECT_DEATH((void)read_trace(in), "line 4: fileset weight must be > 0");
+  EXPECT_DEATH((void)read_trace(in), "<trace>:4: fileset weight must be > 0");
+}
+
+// Numbers are whole finite tokens and a record ends at its last field:
+// each bad token is named at its own line.
+TEST(TraceIoDeathTest, MalformedTokensNamedAtTheirLine) {
+  const struct {
+    const char* body;  // after the magic line
+    const char* diagnostic;
+  } cases[] = {
+      {"duration 10x\n", "<trace>:2: bad duration '10x'"},
+      {"duration 10\nfileset 0 x 1 extra\n",
+       "<trace>:3: trailing token 'extra'"},
+      {"duration 10\nfileset 0 x 1\nreq 1 0 0.5 junk\n",
+       "<trace>:4: trailing token 'junk'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.body);
+    std::stringstream in(std::string("# anufs-trace v1\n") + c.body);
+    EXPECT_DEATH((void)read_trace(in),
+                 std::string("anufs-trace: ") + c.diagnostic);
+  }
+}
+
+TEST(TraceIoDeathTest, LoadTraceNamesTheFile) {
+  const std::string path = testing::TempDir() + "/bad.trace";
+  {
+    std::ofstream out(path);
+    out << "# anufs-trace v1\nduration 10x\n";
+  }
+  EXPECT_DEATH((void)load_trace(path), "bad.trace:2: bad duration '10x'");
+  EXPECT_DEATH((void)load_trace(path + ".does-not-exist"), "cannot open");
 }
 
 }  // namespace

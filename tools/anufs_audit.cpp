@@ -22,12 +22,12 @@
 // along and are checked for clean completion instead.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "core/invariant_auditor.h"
 #include "driver/parallel_runner.h"
 #include "driver/scenario.h"
@@ -53,9 +53,7 @@ std::vector<std::string> split_policies(const std::string& spec,
     return anufs::policy::registered_policy_names();
   }
   std::vector<std::string> out;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (const std::string& item : anufs::split(spec, ',')) {
     if (item.empty()) continue;
     if (anufs::policy::find_policy(item) == nullptr) {
       std::fprintf(stderr, "unknown policy '%s'\n", item.c_str());
@@ -77,8 +75,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (++i >= argc) usage(argv[0]);
-      jobs_override =
-          static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10));
+      const std::optional<std::uint64_t> n = anufs::to_u64(argv[i]);
+      if (!n.has_value()) usage(argv[0]);
+      jobs_override = static_cast<std::size_t>(*n);
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       if (++i >= argc) usage(argv[0]);
       sweep_override = argv[i];
@@ -96,17 +95,7 @@ int main(int argc, char** argv) {
   }
   if (input == nullptr) usage(argv[0]);
 
-  anufs::driver::ScenarioConfig config;
-  if (std::strcmp(input, "-") == 0) {
-    config = anufs::driver::parse_scenario(std::cin);
-  } else {
-    std::ifstream in(input);
-    if (!in.good()) {
-      std::fprintf(stderr, "cannot open %s\n", input);
-      return 2;
-    }
-    config = anufs::driver::parse_scenario(in);
-  }
+  anufs::driver::ScenarioConfig config = anufs::driver::load_scenario(input);
   if (!sweep_override.empty()) {
     const anufs::driver::ScenarioConfig sweep_config =
         anufs::driver::parse_scenario_text("sweep " + sweep_override + "\n");

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """anufs_lint: project-invariant static analysis for the anufs tree.
 
-Four rules, each encoding an invariant the test suite can only probe
+Five rules, each encoding an invariant the test suite can only probe
 dynamically but the source can prove statically:
 
   D1 determinism   No unordered-container iteration and no ambient
@@ -29,6 +29,9 @@ dynamically but the source can prove statically:
                    part_stamps_/touch()) directly or via a callee, so
                    derived state (PlacementCache) can never silently
                    survive a mutation.
+  P1 parsing       No string-to-number call (std::sto*, strto*, ato*)
+                   in src/ or tools/ outside common/line_reader.h, the
+                   one home of the input token grammar.
 
 Waivers: a finding on line N is suppressed when line N, or the block of
 comment lines immediately above it, contains
@@ -41,7 +44,7 @@ The checker is deliberately compiler-free: it lexes (comments, strings,
 and preprocessor lines are blanked with line structure preserved) and
 matches tokens, so it runs anywhere Python 3 runs. Translation units
 come from the CMake compile database when one exists; headers are
-discovered by walking src/. Exit status: 0 clean, 1 findings, 2 usage
+discovered by walking src/; P1 also walks tools/. Exit status: 0 clean, 1 findings, 2 usage
 or internal error.
 """
 
@@ -53,7 +56,7 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("D1", "H1", "T1", "G1")
+RULES = ("D1", "H1", "T1", "G1", "P1")
 
 # ---------------------------------------------------------------------------
 # Lexing: blank comments, string/char literals, and preprocessor lines,
@@ -645,6 +648,30 @@ def check_g1(sources: list[SourceFile]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# P1: number parsing stays in the line reader
+# ---------------------------------------------------------------------------
+
+NUMBER_PARSE_RE = re.compile(
+    r"\bstd\s*::\s*sto(?:i|l|ll|ul|ull|f|d|ld)\b"
+    r"|\bstrto(?:d|f|ld|l|ll|ul|ull)\b|\bato(?:f|i|l|ll)\b")
+P1_HOME = "src/common/line_reader.h"
+
+
+def check_p1(sources: list[SourceFile]) -> list[Finding]:
+    findings: list[Finding] = []
+    for src in sources:
+        if src.path.as_posix().endswith(P1_HOME):
+            continue
+        for m in NUMBER_PARSE_RE.finditer(src.clean):
+            ln = line_of(src.clean, m.start())
+            if not waived(src.raw_lines, ln, "P1"):
+                findings.append(Finding(
+                    src.path, ln, "P1", f"number conversion '{m.group(0)}' "
+                    f"outside {P1_HOME} (use to_double/to_u64/to_u32)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -677,7 +704,7 @@ def collect_sources(root: Path, compile_db: Path | None,
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="anufs_lint",
-        description="Project-invariant static analysis (D1/H1/T1/G1).")
+        description="Project-invariant static analysis (D1/H1/T1/G1/P1).")
     parser.add_argument("--root", type=Path, default=Path("."),
                         help="repository root (default: cwd)")
     parser.add_argument("--compile-db", type=Path, default=None,
@@ -726,6 +753,10 @@ def main(argv: list[str]) -> int:
         findings += check_t1(sources, root)
     if "G1" in rules:
         findings += check_g1(sources)
+    if "P1" in rules:
+        # Command-line flags convert numbers too (not in fixture mode).
+        tools = [] if args.files else sorted((root / "tools").rglob("*.cpp"))
+        findings += check_p1(sources + [SourceFile(p) for p in tools])
 
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
     for f in findings:

@@ -21,8 +21,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "common/line_reader.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -51,24 +53,9 @@ void usage(const char* argv0) {
       << "  --quiet            print only the one-line summary\n";
 }
 
-[[nodiscard]] std::uint64_t parse_u64(const char* arg, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::cerr << flag << ": not a number: " << arg << "\n";
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-[[nodiscard]] double parse_double(const char* arg, const char* flag) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || v < 0.0) {
-    std::cerr << flag << ": not a non-negative number: " << arg << "\n";
-    std::exit(2);
-  }
-  return v;
+std::optional<double> non_negative(const std::string& text) {
+  const std::optional<double> v = anufs::to_double(text);
+  return v.has_value() && *v >= 0.0 ? v : std::nullopt;
 }
 
 }  // namespace
@@ -81,29 +68,39 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
+    const auto next = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::cerr << arg << ": missing value\n";
         std::exit(2);
       }
       return argv[++i];
     };
+    // The value converted, or exit 2 naming the flag.
+    const auto value = [&](auto convert) {
+      const std::string text = next();
+      const auto v = convert(text);
+      if (!v.has_value()) {
+        std::cerr << arg << ": bad value '" << text << "'\n";
+        std::exit(2);
+      }
+      return *v;
+    };
     if (arg == "--threads") {
-      config.threads = static_cast<std::uint32_t>(parse_u64(next(), "--threads"));
+      config.threads = value(anufs::to_u32);
     } else if (arg == "--seconds") {
-      config.seconds = parse_double(next(), "--seconds");
+      config.seconds = value(non_negative);
     } else if (arg == "--ops") {
-      config.writer_ops = parse_u64(next(), "--ops");
+      config.writer_ops = value(anufs::to_u64);
     } else if (arg == "--ops-per-second") {
-      config.writer_ops_per_second = parse_double(next(), "--ops-per-second");
+      config.writer_ops_per_second = value(non_negative);
     } else if (arg == "--servers") {
-      config.n_servers = static_cast<std::uint32_t>(parse_u64(next(), "--servers"));
+      config.n_servers = value(anufs::to_u32);
     } else if (arg == "--file-sets") {
-      config.file_sets = static_cast<std::uint32_t>(parse_u64(next(), "--file-sets"));
+      config.file_sets = value(anufs::to_u32);
     } else if (arg == "--batch") {
-      config.batch_size = static_cast<std::uint32_t>(parse_u64(next(), "--batch"));
+      config.batch_size = value(anufs::to_u32);
     } else if (arg == "--seed") {
-      config.seed = parse_u64(next(), "--seed");
+      config.seed = value(anufs::to_u64);
     } else if (arg == "--faults") {
       config.faults = anufs::fault::load_fault_plan(next());
     } else if (arg == "--check") {

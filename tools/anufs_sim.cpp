@@ -32,10 +32,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "common/line_reader.h"
 #include "driver/parallel_runner.h"
 #include "driver/scenario.h"
 #include "fault/fault_plan.h"
@@ -97,14 +98,13 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (++i >= argc) usage(argv[0]);
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0') usage(argv[0]);
+      const std::optional<std::uint64_t> n = anufs::to_u64(argv[i]);
+      if (!n.has_value()) usage(argv[0]);
       // --jobs 0 = "auto": size to the hardware (and a failed probe
       // still yields 1 worker — never a zero-thread pool).
       jobs_set = true;
-      jobs_override = n == 0 ? anufs::sim::ThreadPool::hardware_jobs()
-                             : static_cast<std::size_t>(n);
+      jobs_override = *n == 0 ? anufs::sim::ThreadPool::hardware_jobs()
+                              : static_cast<std::size_t>(*n);
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       if (++i >= argc) usage(argv[0]);
       sweep_override = argv[i];
@@ -125,17 +125,7 @@ int main(int argc, char** argv) {
   }
   if (input == nullptr) usage(argv[0]);
 
-  anufs::driver::ScenarioConfig config;
-  if (std::strcmp(input, "-") == 0) {
-    config = anufs::driver::parse_scenario(std::cin, "<stdin>");
-  } else {
-    std::ifstream in(input);
-    if (!in.good()) {
-      std::fprintf(stderr, "cannot open %s\n", input);
-      return 2;
-    }
-    config = anufs::driver::parse_scenario(in, input);
-  }
+  anufs::driver::ScenarioConfig config = anufs::driver::load_scenario(input);
   if (!sweep_override.empty()) {
     // Reuse the config parser so the flag and the config key accept
     // exactly the same syntax (and share diagnostics).
