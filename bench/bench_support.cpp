@@ -1,9 +1,12 @@
 #include "bench_support.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 #include "policies/anu_policy.h"
 #include "policies/registry.h"
 
@@ -46,10 +49,26 @@ cluster::RunResult run_policy(const std::string& name,
   return sim.run();
 }
 
+namespace {
+
+/// A worker count (0 sizes to the hardware), or a usage error naming
+/// where the text came from.
+std::size_t jobs_value(const char* from, const char* text) {
+  const std::optional<std::uint64_t> n = to_u64(text);
+  if (!n.has_value()) {
+    std::fprintf(stderr, "%s: bad value '%s' (expected an integer >= 0)\n",
+                 from, text);
+    std::exit(2);
+  }
+  return *n == 0 ? sim::ThreadPool::hardware_jobs()
+                 : static_cast<std::size_t>(*n);
+}
+
+}  // namespace
+
 std::size_t bench_jobs() {
   if (const char* env = std::getenv("ANUFS_JOBS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
+    return jobs_value("ANUFS_JOBS", env);
   }
   return sim::ThreadPool::hardware_jobs();
 }
@@ -57,8 +76,7 @@ std::size_t bench_jobs() {
 std::size_t bench_jobs_from_args(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      const unsigned long n = std::strtoul(argv[i + 1], nullptr, 10);
-      if (n >= 1) return static_cast<std::size_t>(n);
+      return jobs_value("--jobs", argv[i + 1]);
     }
   }
   return bench_jobs();

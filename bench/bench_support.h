@@ -40,12 +40,14 @@ namespace anufs::bench {
     bool thresholding, bool top_off, bool divergent);
 
 /// Worker-thread count for bench sweeps: the ANUFS_JOBS environment
-/// variable if set (>= 1), else the hardware concurrency. The sweeps'
-/// RESULTS never depend on this — only their wall-clock time does.
+/// variable if set, else the hardware concurrency; 0 also means the
+/// hardware. A value that is not a non-negative integer is a usage error
+/// (exit 2). The sweeps' RESULTS never depend on this — only their
+/// wall-clock time does.
 [[nodiscard]] std::size_t bench_jobs();
 
-/// Parse `--jobs N` from a bench binary's argv; any other argument is
-/// ignored. Falls back to bench_jobs().
+/// Parse `--jobs N` (as ANUFS_JOBS) from a bench binary's argv; any
+/// other argument is ignored. Falls back to bench_jobs().
 [[nodiscard]] std::size_t bench_jobs_from_args(int argc, char** argv);
 
 /// Run fn(0..count-1) on `jobs` threads and return the results in index

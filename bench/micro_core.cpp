@@ -406,7 +406,7 @@ void BM_PowDChoose(benchmark::State& state) {
   table.observe(reports, 0.5);
   sim::Xoshiro256 rng = sim::make_stream(1, "bench-pow-d", 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.choose(rng, 2));
+    benchmark::DoNotOptimize(table.choose(rng, 2, servers));
   }
 }
 BENCHMARK(BM_PowDChoose)->Arg(5)->Arg(64)->Arg(512);

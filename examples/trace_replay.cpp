@@ -5,22 +5,23 @@
 // full simulator. With no arguments it generates, saves, and replays
 // the built-in DFSTrace-equivalent hour, demonstrating the round trip.
 //
-//   ./trace_replay [--policy anu|prescient|round-robin|simple-random]
-//                  [--trace FILE] [--period SECONDS] [--speeds 1,3,5,7,9]
+//   ./trace_replay [--policy NAME] [--trace FILE] [--period SECONDS]
+//                  [--speeds 1,3,5,7,9]
+//
+// --policy takes any registered policy name (the usage message lists
+// them); the default is anu.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
+#include "common/line_reader.h"
 #include "metrics/emit.h"
 #include "metrics/summary.h"
-#include "policies/anu_policy.h"
-#include "policies/prescient.h"
-#include "policies/round_robin.h"
-#include "policies/simple_random.h"
+#include "policies/registry.h"
 #include "workload/dfstrace_like.h"
 #include "workload/trace_io.h"
 
@@ -28,38 +29,20 @@ namespace {
 
 using namespace anufs;
 
-std::vector<double> parse_speeds(const std::string& csv) {
-  std::vector<double> speeds;
-  std::string token;
-  for (const char c : csv + ",") {
-    if (c == ',') {
-      if (!token.empty()) speeds.push_back(std::stod(token));
-      token.clear();
-    } else {
-      token += c;
-    }
-  }
-  return speeds;
+std::optional<double> positive(const std::string& text) {
+  const std::optional<double> v = to_double(text);
+  return v.has_value() && *v > 0.0 ? v : std::nullopt;
 }
 
-std::unique_ptr<policy::PlacementPolicy> build_policy(
-    const std::string& name, const cluster::ClusterConfig& cc,
-    const workload::Workload& work) {
-  if (name == "anu") return std::make_unique<policy::AnuPolicy>(core::AnuConfig{});
-  if (name == "round-robin") return std::make_unique<policy::RoundRobinPolicy>();
-  if (name == "simple-random") {
-    return std::make_unique<policy::SimpleRandomPolicy>(1);
+/// "1,3,5": every entry a positive number.
+std::optional<std::vector<double>> speed_list(const std::string& csv) {
+  std::vector<double> speeds;
+  for (const std::string& token : split(csv, ',')) {
+    const std::optional<double> v = positive(token);
+    if (!v.has_value()) return std::nullopt;
+    speeds.push_back(*v);
   }
-  if (name == "prescient") {
-    policy::PrescientConfig pc;
-    for (std::uint32_t i = 0; i < cc.server_speeds.size(); ++i) {
-      pc.speeds[ServerId{i}] = cc.server_speeds[i];
-    }
-    pc.period = cc.reconfig_period;
-    return std::make_unique<policy::PrescientPolicy>(pc, work);
-  }
-  std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-  std::exit(2);
+  return speeds;
 }
 
 }  // namespace
@@ -70,29 +53,48 @@ int main(int argc, char** argv) {
   cluster::ClusterConfig cc;
   cc.server_speeds = {1, 3, 5, 7, 9};
 
+  const auto usage = [&]() {
+    std::fprintf(stderr,
+                 "usage: %s [--policy NAME] [--trace FILE] "
+                 "[--period SEC] [--speeds CSV]\n"
+                 "policies: %s\n",
+                 argv[0], policy::registered_policy_list().c_str());
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
+        usage();
       }
       return argv[++i];
     };
+    // The value converted, or a usage error naming the flag.
+    const auto value = [&](auto convert) {
+      const std::string text = next();
+      const auto v = convert(text);
+      if (!v.has_value()) {
+        std::fprintf(stderr, "%s: bad value '%s'\n", arg.c_str(),
+                     text.c_str());
+        usage();
+      }
+      return *v;
+    };
     if (arg == "--policy") {
       policy_name = next();
+      if (policy::find_policy(policy_name) == nullptr) {
+        std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
+        usage();
+      }
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--period") {
-      cc.reconfig_period = std::stod(next());
+      cc.reconfig_period = value(positive);
     } else if (arg == "--speeds") {
-      cc.server_speeds = parse_speeds(next());
+      cc.server_speeds = value(speed_list);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--policy NAME] [--trace FILE] "
-                   "[--period SEC] [--speeds CSV]\n",
-                   argv[0]);
-      return 2;
+      usage();
     }
   }
 
@@ -114,8 +116,14 @@ int main(int argc, char** argv) {
                 work.file_sets.size(), work.duration);
   }
 
+  policy::PolicyParams params;
+  params.reconfig_period = cc.reconfig_period;
+  params.workload = &work;
+  for (std::uint32_t i = 0; i < cc.server_speeds.size(); ++i) {
+    params.capacities[ServerId{i}] = cc.server_speeds[i];
+  }
   const std::unique_ptr<policy::PlacementPolicy> policy =
-      build_policy(policy_name, cc, work);
+      policy::make_registered_policy(policy_name, params);
   cluster::ClusterSim sim(cc, work, *policy);
   const cluster::RunResult result = sim.run();
 

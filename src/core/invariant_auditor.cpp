@@ -5,8 +5,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "core/anu_system.h"
@@ -67,15 +65,22 @@ InvariantAuditor::Report InvariantAuditor::audit_records(
   const Measure ps = Measure{1} << (64u - static_cast<unsigned>(
                                               std::countr_zero(n_partitions)));
 
-  const std::set<ServerId> known(servers.begin(), servers.end());
+  // Registered ids as a sorted, deduplicated flat vector (a live map's
+  // list is already sorted): owners are looked up by binary search, so
+  // no table is sized by an id value.
+  std::vector<ServerId> known = servers;
+  if (!std::is_sorted(known.begin(), known.end())) {
+    std::sort(known.begin(), known.end());
+  }
+  known.erase(std::unique(known.begin(), known.end()), known.end());
   if (known.size() != servers.size()) {
     fail(fmt("server list contains duplicates (%zu ids, %zu distinct)",
              servers.size(), known.size()));
   }
 
   // Disjointness: at most one record (hence one owner) per partition.
-  std::set<std::uint32_t> seen;
-  std::map<ServerId, std::uint32_t> partials;  // partial-partition count
+  std::vector<char> seen(n_partitions, 0);
+  std::vector<ServerId> partials;  // one entry per partial partition
   Measure total = 0;
   for (const RegionMap::PartitionRecord& rec : records) {
     if (rec.index >= n_partitions) {
@@ -83,13 +88,14 @@ InvariantAuditor::Report InvariantAuditor::audit_records(
                rec.index, n_partitions));
       continue;
     }
-    if (!seen.insert(rec.index).second) {
+    if (seen[rec.index]) {
       fail(fmt("partition %u appears in more than one record "
                "(regions overlap)",
                rec.index));
       continue;
     }
-    if (!known.contains(rec.owner)) {
+    seen[rec.index] = 1;
+    if (!std::binary_search(known.begin(), known.end(), rec.owner)) {
       fail(fmt("partition %u owned by unregistered server %u", rec.index,
                rec.owner.value));
     }
@@ -97,17 +103,21 @@ InvariantAuditor::Report InvariantAuditor::audit_records(
       fail(fmt("partition %u fill out of (0, partition_size]", rec.index));
       continue;
     }
-    if (rec.fill < ps) ++partials[rec.owner];
+    if (rec.fill < ps) partials.push_back(rec.owner);
     total += rec.fill;
   }
 
   // One-partial: "a server completely occupies all but one sub-region,
-  // which may be partially occupied".
-  for (const auto& [id, count] : partials) {
-    if (count > 1) {
-      fail(fmt("server %u owns %u partial partitions (at most 1 allowed)",
-               id.value, count));
+  // which may be partially occupied". Sorting groups each owner's
+  // partials into one run, in id order.
+  std::sort(partials.begin(), partials.end());
+  for (auto run = partials.begin(); run != partials.end();) {
+    const auto end = std::upper_bound(run, partials.end(), *run);
+    if (end - run > 1) {
+      fail(fmt("server %u owns %td partial partitions (at most 1 allowed)",
+               run->value, end - run));
     }
+    run = end;
   }
 
   if (expect.half_occupancy && total != hash::kHalfInterval) {
@@ -139,12 +149,16 @@ InvariantAuditor::Report InvariantAuditor::audit(const RegionMap& map) {
   // inconsistently even if each view is self-consistent.
   const PartitionSpace& space = map.space();
   const Measure ps = space.partition_size();
-  std::map<ServerId, Measure> fill_by_owner;
-  std::set<std::uint32_t> occupied;
+  // Fills summed by owner id up to the map's largest registered id (the
+  // map holds a table that size already), and the occupied partitions.
+  const std::size_t id_bound =
+      servers.empty() ? 0 : std::size_t{servers.back().value} + 1;
+  std::vector<Measure> fill_by_owner(id_bound, 0);
+  std::vector<char> occupied(space.count(), 0);
   Measure total = 0;
   for (const RegionMap::PartitionRecord& rec : records) {
-    fill_by_owner[rec.owner] += rec.fill;
-    occupied.insert(rec.index);
+    if (rec.owner.value < id_bound) fill_by_owner[rec.owner.value] += rec.fill;
+    if (rec.index < space.count()) occupied[rec.index] = 1;
     total += rec.fill;
 
     // owner_at must see the prefix [start, start+fill) as rec.owner and
@@ -169,15 +183,15 @@ InvariantAuditor::Report InvariantAuditor::audit(const RegionMap& map) {
     fail(fmt("dump sums to %.17g but total_share() reports %.17g",
              hash::to_double(total), hash::to_double(map.total_share())));
   }
-  const std::uint32_t free_expected =
-      space.count() - static_cast<std::uint32_t>(occupied.size());
+  const auto free_expected = static_cast<std::uint32_t>(
+      std::count(occupied.begin(), occupied.end(), char{0}));
   if (map.free_partition_count() != free_expected) {
     fail(fmt("free_partition_count()=%u but dump leaves %u unowned",
              map.free_partition_count(), free_expected));
   }
   // Unmapped partitions really answer "nobody".
   for (std::uint32_t p = 0; p < space.count(); ++p) {
-    if (!occupied.contains(p) &&
+    if (occupied[p] == 0 &&
         map.owner_at(space.partition_start(p)).has_value()) {
       fail(fmt("partition %u absent from dump but owner_at sees an owner",
                p));
@@ -186,8 +200,7 @@ InvariantAuditor::Report InvariantAuditor::audit(const RegionMap& map) {
   // share() and segments() agree with the records, and each server's
   // segments are sorted, non-empty, and pairwise disjoint.
   for (const ServerId id : servers) {
-    const Measure expected = fill_by_owner.contains(id) ? fill_by_owner[id]
-                                                        : Measure{0};
+    const Measure expected = fill_by_owner[id.value];
     if (map.share(id) != expected) {
       fail(fmt("server %u: share() != sum of its dumped fills", id.value));
     }

@@ -10,26 +10,6 @@ namespace anufs::core {
 
 using hash::kHalfInterval;
 
-namespace {
-
-// One round's per-server working state, sorted by id for binary-search
-// lookups during the exchange loop.
-struct Entry {
-  ServerId id;
-  const ServerReport* report = nullptr;
-  Measure target = 0;
-};
-
-Entry& entry_of(std::vector<Entry>& entries, ServerId id) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), id,
-      [](const Entry& e, ServerId key) { return e.id < key; });
-  ANUFS_ENSURES(it != entries.end() && it->id == id);
-  return *it;
-}
-
-}  // namespace
-
 PairwiseTuner::PairwiseTuner(PairwiseConfig config) : config_(config) {
   ANUFS_EXPECTS(config.tolerance >= 0.0);
   ANUFS_EXPECTS(config.max_scale > 1.0);
@@ -58,35 +38,29 @@ TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
   decision.system_average =
       LatencyTuner::system_average(reports, AverageKind::kWeightedMean);
 
-  std::vector<Entry> entries;
-  entries.reserve(reports.size());
+  // This round's report and target per id (ServerId.value). A later
+  // report for an id replaces an earlier one: the last report wins.
   std::vector<ServerId> alive;
   alive.reserve(reports.size());
+  std::size_t id_bound = 0;
   for (const ServerReport& r : reports) {
-    entries.push_back(Entry{r.id, &r, 0});
+    ANUFS_EXPECTS(regions.has_server(r.id));
     alive.push_back(r.id);
+    id_bound = std::max(id_bound, std::size_t{r.id.value} + 1);
   }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& x, const Entry& y) { return x.id < y.id; });
-  // Duplicate ids (never produced by AnuSystem): keep the LAST report,
-  // matching the former std::map's insert-or-assign.
-  auto out = entries.begin();
-  for (auto it = entries.begin(); it != entries.end(); ++it) {
-    if (out != entries.begin() && (out - 1)->id == it->id) {
-      *(out - 1) = *it;
-    } else {
-      *out++ = *it;
-    }
+  std::vector<const ServerReport*> report_of(id_bound, nullptr);
+  std::vector<Measure> target(id_bound, 0);
+  for (const ServerReport& r : reports) {
+    report_of[r.id.value] = &r;
+    target[r.id.value] = regions.share(r.id);
   }
-  entries.erase(out, entries.end());
-  for (Entry& e : entries) e.target = regions.share(e.id);
 
   const std::vector<ServerId> order = matching(round_, alive);
   ++round_;
 
   for (std::size_t k = 0; k + 1 < order.size(); k += 2) {
-    const ServerReport& a = *entry_of(entries, order[k]).report;
-    const ServerReport& b = *entry_of(entries, order[k + 1]).report;
+    const ServerReport& a = *report_of[order[k].value];
+    const ServerReport& b = *report_of[order[k + 1].value];
     // Identify hot and cold within the pair. Idle servers (no samples)
     // count as cold with latency 0 and can only RECEIVE measure.
     const ServerReport& hot = a.mean_latency >= b.mean_latency ? a : b;
@@ -116,8 +90,7 @@ TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
     const double pair_mean = 0.5 * (hot.mean_latency + cold.mean_latency);
     const double factor =
         std::max(pair_mean / hot.mean_latency, 1.0 / config_.max_scale);
-    Entry& hot_entry = entry_of(entries, hot.id);
-    const Measure hot_share = hot_entry.target;
+    const Measure hot_share = target[hot.id.value];
     const auto correction = static_cast<Measure>(
         static_cast<long double>(hot_share) *
         static_cast<long double>((1.0 - factor) * config_.damping));
@@ -126,25 +99,25 @@ TuneDecision PairwiseTuner::retune(const std::vector<ServerReport>& reports,
         hot_share > config_.min_share ? hot_share - config_.min_share : 0;
     const Measure delta = std::min(correction, floor_room);
     if (delta == 0) continue;
-    hot_entry.target -= delta;
-    entry_of(entries, cold.id).target += delta;  // pair-local conservation
+    target[hot.id.value] -= delta;
+    target[cold.id.value] += delta;  // pair-local conservation
     decision.explicitly_scaled.push_back(hot.id);
     decision.explicitly_scaled.push_back(cold.id);
   }
 
-  // Refresh each server's locally-remembered latency (`entries` holds
-  // the last report per id); unreported servers keep their entry.
-  for (const Entry& e : entries) {
-    history_.record(e.id, e.report->mean_latency);
+  // Refresh each server's locally-remembered latency (in report order,
+  // so the last report per id wins); unreported servers keep theirs.
+  for (const ServerReport& r : reports) {
+    history_.record(r.id, r.mean_latency);
   }
 
   Measure sum = 0;
   decision.targets.reserve(alive.size());
   for (const ServerReport& r : reports) {
-    const Measure target = entry_of(entries, r.id).target;
-    decision.targets.emplace_back(r.id, target);
-    sum += target;
-    if (target != regions.share(r.id)) decision.acted = true;
+    const Measure t = target[r.id.value];
+    decision.targets.emplace_back(r.id, t);
+    sum += t;
+    if (t != regions.share(r.id)) decision.acted = true;
   }
   ANUFS_ENSURES(sum == kHalfInterval);  // conservation, exactly
   return decision;

@@ -17,9 +17,10 @@
 // the full latency vector (see bench/tabe_pairwise_vs_central).
 //
 // Control-plane cost: a round is inherently O(n) in the matching (every
-// alive server participates in the shuffle). The round's working state
-// is a flat vector sorted by id; remembered latencies live in a
-// LatencyHistory, the dense table the central tuner uses too.
+// alive server participates in the shuffle). The round's reports and
+// targets live in tables indexed by id (common/ids.h); remembered
+// latencies live in a LatencyHistory, the dense table the central tuner
+// uses too.
 #pragma once
 
 #include <cstdint>

@@ -17,32 +17,21 @@ RegionMap::RegionMap(std::uint32_t n_partitions)
 // anufs-lint: safe(G1) accessor: hands out a mutable alias without
 // changing state itself; every mutating caller stamps what it touches.
 RegionMap::ServerRegions& RegionMap::regions_of(ServerId id) {
-  const std::uint32_t slot = slot_of(id);
-  ANUFS_EXPECTS(slot != kNoSlot);
-  return slots_[slot];
+  ANUFS_EXPECTS(has_server(id));
+  return servers_[id.value];
 }
 
 const RegionMap::ServerRegions& RegionMap::regions_of(ServerId id) const {
-  const std::uint32_t slot = slot_of(id);
-  ANUFS_EXPECTS(slot != kNoSlot);
-  return slots_[slot];
+  ANUFS_EXPECTS(has_server(id));
+  return servers_[id.value];
 }
 
 void RegionMap::add_server(ServerId id) {
-  ANUFS_EXPECTS(!has_server(id));
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = ServerRegions{};
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  ANUFS_EXPECTS(id != kInvalidServer && !has_server(id));
+  if (id.value >= servers_.size()) {
+    servers_.resize(std::size_t{id.value} + 1);
   }
-  if (id.value >= id_to_slot_.size()) {
-    id_to_slot_.resize(id.value + 1, kNoSlot);
-  }
-  id_to_slot_[id.value] = slot;
+  servers_[id.value].registered = true;
   alive_ids_.insert(
       std::upper_bound(alive_ids_.begin(), alive_ids_.end(), id), id);
   ++generation_;
@@ -52,17 +41,13 @@ void RegionMap::add_server(ServerId id) {
 }
 
 void RegionMap::remove_server(ServerId id) {
-  const std::uint32_t slot = slot_of(id);
-  ANUFS_EXPECTS(slot != kNoSlot);
+  ServerRegions& sr = regions_of(id);
   ++generation_;
   membership_stamp_ = generation_;
-  ServerRegions& sr = slots_[slot];
   for (const std::uint32_t p : sr.full) release_partition(p);
   if (sr.partial) release_partition(*sr.partial);
   total_ -= sr.share;
   sr = ServerRegions{};
-  id_to_slot_[id.value] = kNoSlot;
-  free_slots_.push_back(slot);
   alive_ids_.erase(
       std::find(alive_ids_.begin(), alive_ids_.end(), id));
   detail::maybe_audit(*this);
@@ -327,12 +312,11 @@ void RegionMap::check_invariants() const {
   ANUFS_ENSURES(fill_total == total_);
 
   // Server-level consistency: share accounting, the one-partial rule,
-  // and the dense id->slot table agreeing with the alive list.
+  // and the id-indexed table agreeing with the alive list.
   Measure share_total = 0;
   for (const ServerId id : alive_ids_) {
-    const std::uint32_t slot = slot_of(id);
-    ANUFS_ENSURES(slot != kNoSlot && slot < slots_.size());
-    const ServerRegions& sr = slots_[slot];
+    ANUFS_ENSURES(has_server(id));
+    const ServerRegions& sr = servers_[id.value];
     ANUFS_ENSURES(std::is_sorted(sr.full.begin(), sr.full.end()));
     Measure s = 0;
     for (const std::uint32_t p : sr.full) {
@@ -349,7 +333,6 @@ void RegionMap::check_invariants() const {
     share_total += s;
   }
   ANUFS_ENSURES(share_total == total_);
-  ANUFS_ENSURES(alive_ids_.size() + free_slots_.size() == slots_.size());
 
   // Free-partition guarantee (paper Section 4): at half occupancy with
   // P >= 2(n+1) there is always somewhere to put a recovered server.

@@ -20,8 +20,8 @@
 // cache-preservation properties.
 //
 // Control-plane scalability (the O(changed) contract): every internal
-// lookup is O(1) or O(log64 P) — servers live in dense slots addressed
-// by a direct id->slot table, free partitions in a hierarchical bitmap
+// lookup is O(1) or O(log64 P) — servers live in a table indexed by id
+// (common/ids.h), free partitions in a hierarchical bitmap
 // (core::PartitionIndex), and a server's full partitions in a sorted
 // flat vector (average occupancy P/2n < 2 partitions per server). A
 // mutation therefore costs only the partitions it actually touches,
@@ -82,7 +82,7 @@ class RegionMap {
   void remove_server(ServerId id);
 
   [[nodiscard]] bool has_server(ServerId id) const noexcept {
-    return slot_of(id) != kNoSlot;
+    return id.value < servers_.size() && servers_[id.value].registered;
   }
 
   [[nodiscard]] std::vector<ServerId> server_ids() const;
@@ -250,12 +250,11 @@ class RegionMap {
   [[nodiscard]] std::vector<PartitionRecord> dump() const;
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
   struct ServerRegions {
     std::vector<std::uint32_t> full;       // fully-owned partitions, sorted
     std::optional<std::uint32_t> partial;  // at most one
     Measure share = 0;
+    bool registered = false;
   };
 
   [[nodiscard]] Measure part_size() const noexcept {
@@ -268,11 +267,6 @@ class RegionMap {
   /// between O(touched) and O(touched * audit) control-plane rounds).
   void resize_step(ServerId id, Measure target);
 
-  /// Dense slot of `id`, or kNoSlot. ServerIds are dense by contract
-  /// (common/ids.h), so a direct table keeps this O(1) with no hashing.
-  [[nodiscard]] std::uint32_t slot_of(ServerId id) const noexcept {
-    return id.value < id_to_slot_.size() ? id_to_slot_[id.value] : kNoSlot;
-  }
   [[nodiscard]] ServerRegions& regions_of(ServerId id);
   [[nodiscard]] const ServerRegions& regions_of(ServerId id) const;
 
@@ -303,12 +297,10 @@ class RegionMap {
   std::vector<Measure> part_fills_;
   std::vector<std::uint64_t> part_stamps_;  // last-change generation per p
   PartitionIndex free_;                     // unowned partitions
-  // Dense server storage: id -> slot -> regions. Slots are recycled on
-  // removal; alive_ids_ (sorted) provides the deterministic iteration
-  // order every walk uses.
-  std::vector<ServerRegions> slots_;
-  std::vector<std::uint32_t> id_to_slot_;
-  std::vector<std::uint32_t> free_slots_;
+  // Per-server regions indexed by ServerId.value; a removed id's entry
+  // is reset and unregistered. alive_ids_ (sorted) provides the
+  // deterministic iteration order every walk uses.
+  std::vector<ServerRegions> servers_;
   std::vector<ServerId> alive_ids_;  // sorted; mirrors registration set
   Measure total_ = 0;
   // Starts at 1 so generation 0 can serve as an "empty" sentinel in

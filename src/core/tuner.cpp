@@ -90,7 +90,7 @@ double LatencyTuner::choose_threshold(
 
 void LatencyHistory::record(ServerId id, double latency) {
   ANUFS_EXPECTS(id != kInvalidServer);
-  if (id.value >= slots_.size()) slots_.resize(id.value + 1);
+  if (id.value >= slots_.size()) slots_.resize(std::size_t{id.value} + 1);
   slots_[id.value] = Slot{latency, true};
 }
 

@@ -152,6 +152,7 @@ ScenarioConfig parse_scenario(std::istream& is,
                               const std::string& source_name) {
   ScenarioConfig config;
   LineReader in(is, "anufs-scenario", source_name);
+  std::vector<std::pair<std::size_t, std::uint32_t>> added;  // (line, id)
   while (in.next()) {
     const std::string key = in.word("key");
     if (key == "workload") {
@@ -240,6 +241,7 @@ ScenarioConfig parse_scenario(std::istream& is,
       e.server = in.u32("server id");
       e.speed = in.number("speed");
       config.events.push_back(e);
+      added.emplace_back(in.line(), e.server);
     } else if (key == "faults") {
       // Appends, so `faults` and inline `fault` lines compose.
       fault::load_fault_plan(in.word("path"), config.faults);
@@ -277,6 +279,17 @@ ScenarioConfig parse_scenario(std::istream& is,
       in.fail("unknown key '" + key + "'");
     }
     in.end();
+  }
+  // ServerIds are dense (common/ids.h): `add` lines take the ids that
+  // follow the initial servers, as a fault plan's additions do.
+  const std::size_t id_bound =
+      config.cluster.server_speeds.size() + added.size();
+  for (const auto& [line, id] : added) {
+    if (id >= id_bound) {
+      in.fail_at(line, "add: server id " + std::to_string(id) +
+                           " outside the dense id range 0.." +
+                           std::to_string(id_bound - 1));
+    }
   }
   // Degenerate pow-d widths: more choices than the cluster has servers
   // is well-defined (probe everyone) but almost certainly a typo, so

@@ -143,6 +143,10 @@ std::vector<std::string> validate(const FaultPlan& plan,
     problems.push_back(std::move(p));
   };
 
+  // ServerIds are dense (common/ids.h): the plan's additions take the
+  // ids that follow the initial servers.
+  const std::uint64_t id_bound =
+      std::uint64_t{n_initial_servers} + plan.additions.size();
   std::set<std::uint32_t> alive;
   std::set<std::uint32_t> known;
   // Commission time per server: initial servers exist from t=0; added
@@ -183,7 +187,11 @@ std::vector<std::string> validate(const FaultPlan& plan,
         }
         break;
       case Transition::Kind::kAdd:
-        if (known.contains(t.server)) {
+        if (t.server >= id_bound) {
+          note("addition of server id " + std::to_string(t.server) +
+               " outside the dense id range 0.." +
+               std::to_string(id_bound - 1));
+        } else if (known.contains(t.server)) {
           note("addition reuses existing server id " +
                std::to_string(t.server) + " (use recover instead)");
         } else {

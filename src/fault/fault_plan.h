@@ -126,6 +126,7 @@ void load_fault_plan(const std::string& path, FaultPlan& plan);
 
 /// Check a plan against a cluster of `n_initial_servers` (ids
 /// 0..n-1): every referenced server exists (or is introduced by `add`),
+/// an added id lies below n plus the number of additions,
 /// crash/recover alternate correctly per server, at least `min_alive`
 /// servers remain alive at every instant, windows are well-formed and
 /// non-overlapping per subject, probabilities/factors are in range.

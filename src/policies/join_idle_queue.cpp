@@ -29,7 +29,7 @@ ServerId JoinIdleQueuePolicy::take_target(sim::Xoshiro256& rng) {
     idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(best));
     return id;
   }
-  return table_.choose(rng, config_.d);
+  return table_.choose(rng, config_.d, servers_);
 }
 
 void JoinIdleQueuePolicy::drop_idle(ServerId id) {

@@ -30,41 +30,31 @@ double round_average(const std::vector<core::ServerReport>& reports) {
 
 // ---- DChoiceTable ---------------------------------------------------------
 
-std::size_t DChoiceTable::index_of(ServerId id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  ANUFS_EXPECTS(it != ids_.end() && *it == id);
-  return static_cast<std::size_t>(it - ids_.begin());
+const DChoiceTable::Stats& DChoiceTable::stats_of(ServerId id) const {
+  ANUFS_EXPECTS(contains(id));
+  return stats_[id.value];
 }
 
 void DChoiceTable::reset(const std::vector<ServerId>& servers) {
-  ids_ = servers;
-  ANUFS_EXPECTS(std::is_sorted(ids_.begin(), ids_.end()));
-  latency_.assign(ids_.size(), kUnknownLatency);
-  sets_.assign(ids_.size(), 0);
+  stats_.clear();
+  for (const ServerId id : servers) add(id);
 }
 
 void DChoiceTable::add(ServerId id) {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  ANUFS_EXPECTS(it == ids_.end() || *it != id);
-  const auto idx = static_cast<std::size_t>(it - ids_.begin());
-  ids_.insert(it, id);
-  latency_.insert(latency_.begin() + static_cast<std::ptrdiff_t>(idx),
-                  kUnknownLatency);
-  sets_.insert(sets_.begin() + static_cast<std::ptrdiff_t>(idx), 0);
+  ANUFS_EXPECTS(id != kInvalidServer && !contains(id));
+  if (id.value >= stats_.size()) stats_.resize(std::size_t{id.value} + 1);
+  stats_[id.value] = Stats{kUnknownLatency, 0, true};
 }
 
 void DChoiceTable::remove(ServerId id) {
-  const std::size_t idx = index_of(id);
-  ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(idx));
-  latency_.erase(latency_.begin() + static_cast<std::ptrdiff_t>(idx));
-  sets_.erase(sets_.begin() + static_cast<std::ptrdiff_t>(idx));
+  ANUFS_EXPECTS(contains(id));
+  stats_[id.value].alive = false;
 }
 
 void DChoiceTable::credit(ServerId id, std::int32_t delta) {
-  const std::size_t idx = index_of(id);
-  const auto count = static_cast<std::int64_t>(sets_[idx]) + delta;
+  const auto count = static_cast<std::int64_t>(stats_of(id).sets) + delta;
   ANUFS_EXPECTS(count >= 0);
-  sets_[idx] = static_cast<std::uint32_t>(count);
+  stats_[id.value].sets = static_cast<std::uint32_t>(count);
 }
 
 void DChoiceTable::observe(const std::vector<core::ServerReport>& reports,
@@ -74,40 +64,29 @@ void DChoiceTable::observe(const std::vector<core::ServerReport>& reports,
     if (r.requests == 0) continue;  // idle interval: no latency signal
     // Reports can mention servers that crashed undetected this round;
     // they are no longer choosable, so drop their sample.
-    const auto it = std::lower_bound(ids_.begin(), ids_.end(), r.id);
-    if (it == ids_.end() || *it != r.id) continue;
-    const auto idx = static_cast<std::size_t>(it - ids_.begin());
-    latency_[idx] = latency_[idx] == kUnknownLatency
-                        ? r.mean_latency
-                        : (1.0 - smoothing) * latency_[idx] +
-                              smoothing * r.mean_latency;
+    if (!contains(r.id)) continue;
+    double& lat = stats_[r.id.value].latency;
+    lat = lat == kUnknownLatency
+              ? r.mean_latency
+              : (1.0 - smoothing) * lat + smoothing * r.mean_latency;
   }
 }
 
 double DChoiceTable::effective_latency(ServerId id) const {
-  const double lat = latency_[index_of(id)];
-  return std::max(lat, kLatencyFloor);
+  return std::max(stats_of(id).latency, kLatencyFloor);
 }
 
 std::uint32_t DChoiceTable::sets_of(ServerId id) const {
-  return sets_[index_of(id)];
+  return stats_of(id).sets;
 }
 
-bool DChoiceTable::contains(ServerId id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  return it != ids_.end() && *it == id;
-}
-
-double DChoiceTable::score_at(std::size_t idx) const {
-  const double lat = std::max(latency_[idx], kLatencyFloor);
-  return static_cast<double>(sets_[idx] + 1) * lat;
-}
-
-ServerId DChoiceTable::choose(sim::Xoshiro256& rng, std::uint32_t d) const {
-  const std::size_t n = ids_.size();
-  ANUFS_EXPECTS(n > 0);
+ServerId DChoiceTable::choose(sim::Xoshiro256& rng, std::uint32_t d,
+                              const std::vector<ServerId>& alive) const {
+  const std::size_t n = alive.size();
+  // `alive` is id-sorted, so one bound check covers every candidate.
+  ANUFS_EXPECTS(n > 0 && alive.back().value < stats_.size());
   // Clamp both degenerate ends: d = 0 probes one server, d > n probes
-  // everyone. Neither can index outside the table.
+  // everyone. Neither can index outside the list.
   const std::size_t k = std::min<std::size_t>(std::max<std::uint32_t>(d, 1), n);
   scratch_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -121,14 +100,16 @@ ServerId DChoiceTable::choose(sim::Xoshiro256& rng, std::uint32_t d) const {
                                   static_cast<std::uint64_t>(n - i)));
     std::swap(scratch_[i], scratch_[j]);
     const std::size_t cand = scratch_[i];
-    const double score = score_at(cand);
+    const Stats& entry = stats_[alive[cand].value];
+    const double score = static_cast<double>(entry.sets + 1) *
+                         std::max(entry.latency, kLatencyFloor);
     if (best == n || score < best_score ||
-        (score == best_score && ids_[cand] < ids_[best])) {
+        (score == best_score && alive[cand] < alive[best])) {
       best = cand;
       best_score = score;
     }
   }
-  return ids_[best];
+  return alive[best];
 }
 
 // ---- PowerOfDChoicesPolicy ------------------------------------------------
@@ -152,7 +133,7 @@ void PowerOfDChoicesPolicy::initialize(
 }
 
 ServerId PowerOfDChoicesPolicy::place(sim::Xoshiro256& rng) {
-  const ServerId to = table_.choose(rng, config_.d);
+  const ServerId to = table_.choose(rng, config_.d, servers_);
   table_.credit(to, +1);
   return to;
 }
@@ -165,7 +146,8 @@ std::vector<Move> PowerOfDChoicesPolicy::rebalance(
   sim::Xoshiro256 rng = sim::make_stream(config_.seed, "pow-d", draws_++);
   const std::vector<ServerId> next = shed_overloaded(
       reports, average, config_.overload_factor, config_.shed_fraction,
-      owners(), table_, [&] { return table_.choose(rng, config_.d); });
+      owners(), table_,
+      [&] { return table_.choose(rng, config_.d, servers_); });
   if (next.empty()) return {};
   return adopt(next);
 }

@@ -38,15 +38,15 @@
 
 namespace anufs::policy {
 
-/// The shared d-choice decision table: alive servers with their current
-/// file-set counts and a latency EWMA, plus the sample-and-argmin
-/// kernel. Flat sorted parallel vectors — O(log n) id lookup, cache-
-/// friendly scoring, no hash iteration anywhere. Shared by the pow-d
-/// and JIQ policies (JIQ uses it as its non-idle fallback).
+/// The shared d-choice decision table: each server's file-set count and
+/// latency EWMA, indexed by id (common/ids.h), plus the sample-and-argmin
+/// kernel. O(1) id lookup, no hash iteration anywhere. Shared by the
+/// pow-d and JIQ policies (JIQ uses it as its non-idle fallback); the
+/// owning policy's sorted server list is the population choose() samples.
 class DChoiceTable {
  public:
-  /// Replace the table with `servers` (sorted, deduped by caller);
-  /// counts reset to zero, latencies to "unknown".
+  /// Replace the table with `servers`; counts reset to zero, latencies
+  /// to "unknown".
   void reset(const std::vector<ServerId>& servers);
 
   void add(ServerId id);
@@ -61,11 +61,13 @@ class DChoiceTable {
   void observe(const std::vector<core::ServerReport>& reports,
                double smoothing);
 
-  /// Sample min(max(d,1), size) distinct servers and return the one
-  /// with minimal (sets+1) * latency score; ties break to the lowest
-  /// id. The clamp means no d — including d == 0 or d > alive — can
-  /// index outside the table. Requires a non-empty table.
-  [[nodiscard]] ServerId choose(sim::Xoshiro256& rng, std::uint32_t d) const;
+  /// Sample min(max(d,1), alive.size()) distinct servers of `alive` (the
+  /// table's servers, id-sorted) and return the one with minimal
+  /// (sets+1) * latency score; ties break to the lowest id. The clamp
+  /// means no d — including d == 0 or d > alive — can index outside the
+  /// list. Requires a non-empty list.
+  [[nodiscard]] ServerId choose(sim::Xoshiro256& rng, std::uint32_t d,
+                                const std::vector<ServerId>& alive) const;
 
   /// Effective latency used in scores: the EWMA, or the optimistic
   /// floor while the server has never reported (newcomers look fast so
@@ -73,19 +75,20 @@ class DChoiceTable {
   [[nodiscard]] double effective_latency(ServerId id) const;
 
   [[nodiscard]] std::uint32_t sets_of(ServerId id) const;
-  [[nodiscard]] bool contains(ServerId id) const;
-  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
-  [[nodiscard]] const std::vector<ServerId>& ids() const noexcept {
-    return ids_;
+  [[nodiscard]] bool contains(ServerId id) const noexcept {
+    return id.value < stats_.size() && stats_[id.value].alive;
   }
 
  private:
-  [[nodiscard]] std::size_t index_of(ServerId id) const;
-  [[nodiscard]] double score_at(std::size_t idx) const;
+  struct Stats {
+    double latency = 0.0;    // EWMA seconds; kUnknown until reported
+    std::uint32_t sets = 0;  // assigned file sets
+    bool alive = false;
+  };
 
-  std::vector<ServerId> ids_;       // sorted
-  std::vector<double> latency_;     // EWMA seconds; kUnknown until reported
-  std::vector<std::uint32_t> sets_; // assigned file sets
+  [[nodiscard]] const Stats& stats_of(ServerId id) const;  // aborts if absent
+
+  std::vector<Stats> stats_;  // indexed by ServerId.value
   // Sampling-without-replacement scratch (partial Fisher-Yates);
   // mutable because choose() is logically const.
   mutable std::vector<std::uint32_t> scratch_;
@@ -122,15 +125,16 @@ template <typename Pick>
     const std::uint32_t stride = (count + shed - 1) / shed;
     std::uint32_t seen = 0;
     std::uint32_t moved = 0;
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      if (owners[i] != r.id) continue;
+    const auto end = owners.end();
+    for (auto it = std::find(owners.begin(), end, r.id); it != end;
+         it = std::find(it + 1, end, r.id)) {
       const bool selected = seen % stride == 0 && moved < shed;
       ++seen;
       if (!selected) continue;
       ++moved;
       const ServerId to = pick();
       if (to == r.id) continue;  // the decision kept it home
-      next[i] = to;
+      next[static_cast<std::size_t>(it - owners.begin())] = to;
       table.credit(r.id, -1);
       table.credit(to, +1);
       changed = true;
@@ -169,9 +173,6 @@ class PowerOfDChoicesPolicy final : public AssignmentPolicyBase {
 
   std::vector<Move> on_server_failed(ServerId id) override;
   std::vector<Move> on_server_added(ServerId id) override;
-
-  /// The decision table (for tests and microbenches).
-  [[nodiscard]] const DChoiceTable& table() const noexcept { return table_; }
 
  private:
   /// One placement decision: a d-choice draw, credited to the winner.

@@ -30,6 +30,13 @@ PrescientPolicy::PrescientPolicy(PrescientConfig config,
     : config_(std::move(config)) {
   ANUFS_EXPECTS(!config_.speeds.empty());
   ANUFS_EXPECTS(config_.period > 0.0);
+  const ServerId top = config_.speeds.rbegin()->first;
+  ANUFS_EXPECTS(top != kInvalidServer);
+  speed_.assign(std::size_t{top.value} + 1, 0.0);
+  for (const auto& [id, speed] : config_.speeds) {
+    ANUFS_EXPECTS(speed > 0.0);
+    speed_[id.value] = speed;
+  }
   duration_ = workload.duration;
   set_times_.resize(workload.file_sets.size());
   set_prefix_.resize(workload.file_sets.size());
@@ -42,9 +49,8 @@ PrescientPolicy::PrescientPolicy(PrescientConfig config,
 }
 
 double PrescientPolicy::speed_of(ServerId id) const {
-  const auto it = config_.speeds.find(id);
-  ANUFS_EXPECTS(it != config_.speeds.end());
-  return it->second;
+  ANUFS_EXPECTS(id.value < speed_.size() && speed_[id.value] > 0.0);
+  return speed_[id.value];
 }
 
 PrescientPolicy::WindowLoad PrescientPolicy::window_load(double from,
@@ -87,21 +93,21 @@ double PrescientPolicy::server_score(double demand, double count,
 
 PrescientPolicy::ServerLoads PrescientPolicy::per_server(
     const std::vector<ServerId>& assignment, const WindowLoad& load) const {
-  ServerLoads per;
-  for (const ServerId id : servers_) per[id] = {0.0, 0.0};
+  ServerLoads per(speed_.size(), {0.0, 0.0});
   for (std::size_t i = 0; i < assignment.size(); ++i) {
-    per[assignment[i]].first += load.demand[i];
-    per[assignment[i]].second += load.count[i];
+    auto& dc = per[assignment[i].value];
+    dc.first += load.demand[i];
+    dc.second += load.count[i];
   }
   return per;
 }
 
-ServerId PrescientPolicy::least_loaded(const std::map<ServerId, double>& acc,
+ServerId PrescientPolicy::least_loaded(const std::vector<double>& acc,
                                        double demand) const {
   ServerId best = servers_.front();
   double best_norm = std::numeric_limits<double>::infinity();
   for (const ServerId id : servers_) {
-    const double norm = (acc.at(id) + demand) / speed_of(id);
+    const double norm = (acc[id.value] + demand) / speed_of(id);
     if (norm < best_norm) {
       best_norm = norm;
       best = id;
@@ -113,9 +119,11 @@ ServerId PrescientPolicy::least_loaded(const std::map<ServerId, double>& acc,
 double PrescientPolicy::objective(
     const std::vector<ServerId>& assignment, const WindowLoad& load,
     double norm_cap) const {
+  const ServerLoads per = per_server(assignment, load);
   double worst = 0.0;
-  for (const auto& [id, dc] : per_server(assignment, load)) {
-    worst = std::max(worst, server_score(dc.first, dc.second, load.seconds,
+  for (const ServerId id : servers_) {
+    const auto& [demand, count] = per[id.value];
+    worst = std::max(worst, server_score(demand, count, load.seconds,
                                          speed_of(id), norm_cap));
   }
   return worst;
@@ -132,14 +140,12 @@ std::vector<ServerId> PrescientPolicy::pack_lpt(
     return a < b;  // deterministic tiebreak
   });
 
-  std::map<ServerId, double> acc;
-  for (const ServerId id : servers_) acc[id] = 0.0;
-
+  std::vector<double> acc(speed_.size(), 0.0);
   std::vector<ServerId> next(order.size(), kInvalidServer);
   for (const std::size_t i : order) {
     const ServerId best = least_loaded(acc, load.demand[i]);
     next[i] = best;
-    acc[best] += load.demand[i];
+    acc[best.value] += load.demand[i];
   }
   return next;
 }
@@ -150,9 +156,8 @@ std::vector<ServerId> PrescientPolicy::search_pass(
   // Per-server aggregates and scores, maintained incrementally.
   ServerLoads per = per_server(assignment, load);
   const auto est = [&](ServerId id) {
-    const auto& dc = per.at(id);
-    return server_score(dc.first, dc.second, load.seconds, speed_of(id),
-                        norm_cap);
+    const auto& [demand, count] = per[id.value];
+    return server_score(demand, count, load.seconds, speed_of(id), norm_cap);
   };
   const auto global_max = [&] {
     double worst = 0.0;
@@ -182,29 +187,29 @@ std::vector<ServerId> PrescientPolicy::search_pass(
       if (assignment[fs] != hot || load.count[fs] == 0.0) continue;
       const double d = load.demand[fs];
       const double c = load.count[fs];
-      per[hot].first -= d;
-      per[hot].second -= c;
+      per[hot.value].first -= d;
+      per[hot.value].second -= c;
       for (const ServerId to : servers_) {
         if (to == hot) continue;
-        per[to].first += d;
-        per[to].second += c;
+        per[to.value].first += d;
+        per[to.value].second += c;
         const double obj = global_max();
-        per[to].first -= d;
-        per[to].second -= c;
+        per[to.value].first -= d;
+        per[to.value].second -= c;
         if (obj < best_obj * (1.0 - 1e-12)) {
           best_obj = obj;
           best_fs = fs;
           best_to = to;
         }
       }
-      per[hot].first += d;
-      per[hot].second += c;
+      per[hot.value].first += d;
+      per[hot.value].second += c;
     }
     if (best_fs != kNone) {
-      per[hot].first -= load.demand[best_fs];
-      per[hot].second -= load.count[best_fs];
-      per[best_to].first += load.demand[best_fs];
-      per[best_to].second += load.count[best_fs];
+      per[hot.value].first -= load.demand[best_fs];
+      per[hot.value].second -= load.count[best_fs];
+      per[best_to.value].first += load.demand[best_fs];
+      per[best_to.value].second += load.count[best_fs];
       assignment[best_fs] = best_to;
       continue;
     }
@@ -223,15 +228,15 @@ std::vector<ServerId> PrescientPolicy::search_pass(
         if (ob == hot) continue;
         const double db = load.demand[fb];
         const double cb = load.count[fb];
-        per[hot].first += db - da;
-        per[hot].second += cb - ca;
-        per[ob].first += da - db;
-        per[ob].second += ca - cb;
+        per[hot.value].first += db - da;
+        per[hot.value].second += cb - ca;
+        per[ob.value].first += da - db;
+        per[ob.value].second += ca - cb;
         const double obj = global_max();
-        per[hot].first -= db - da;
-        per[hot].second -= cb - ca;
-        per[ob].first -= da - db;
-        per[ob].second -= ca - cb;
+        per[hot.value].first -= db - da;
+        per[hot.value].second -= cb - ca;
+        per[ob.value].first -= da - db;
+        per[ob.value].second -= ca - cb;
         if (obj < best_swap_obj * (1.0 - 1e-12)) {
           best_swap_obj = obj;
           swap_a = fa;
@@ -241,10 +246,10 @@ std::vector<ServerId> PrescientPolicy::search_pass(
     }
     if (swap_a == kNone) break;  // local optimum
     const ServerId other = assignment[swap_b];
-    per[hot].first += load.demand[swap_b] - load.demand[swap_a];
-    per[hot].second += load.count[swap_b] - load.count[swap_a];
-    per[other].first += load.demand[swap_a] - load.demand[swap_b];
-    per[other].second += load.count[swap_a] - load.count[swap_b];
+    per[hot.value].first += load.demand[swap_b] - load.demand[swap_a];
+    per[hot.value].second += load.count[swap_b] - load.count[swap_a];
+    per[other.value].first += load.demand[swap_a] - load.demand[swap_b];
+    per[other.value].second += load.count[swap_a] - load.count[swap_b];
     assignment[swap_a] = other;
     assignment[swap_b] = hot;
   }
@@ -268,6 +273,7 @@ void PrescientPolicy::initialize(
     const std::vector<ServerId>& servers) {
   begin_initialize(file_sets, servers);
   ANUFS_EXPECTS(file_sets_.size() == set_times_.size());
+  for (const ServerId id : servers_) (void)speed_of(id);  // all known
   // "Having perfect knowledge, the prescient algorithm begins in a
   // load-balanced state at time 0": pack for the opening window.
   const WindowLoad load = config_.mode == PrescientConfig::Mode::kStationary
@@ -309,22 +315,21 @@ std::vector<Move> PrescientPolicy::on_server_failed(ServerId id) {
   // Re-home the victim's sets greedily by normalized load, then refine
   // globally against the latency objective.
   std::vector<ServerId> next = owners();
-  std::map<ServerId, double> acc;
-  for (const ServerId s : servers_) acc[s] = 0.0;
+  std::vector<double> acc(speed_.size(), 0.0);
   for (std::size_t fs = 0; fs < next.size(); ++fs) {
-    if (next[fs] != id) acc[next[fs]] += load.demand[fs];
+    if (next[fs] != id) acc[next[fs].value] += load.demand[fs];
   }
   for (std::size_t fs = 0; fs < next.size(); ++fs) {
     if (next[fs] != id) continue;
     const ServerId best = least_loaded(acc, load.demand[fs]);
     next[fs] = best;
-    acc[best] += load.demand[fs];
+    acc[best.value] += load.demand[fs];
   }
   return adopt(refine(std::move(next), load));
 }
 
 std::vector<Move> PrescientPolicy::on_server_added(ServerId id) {
-  ANUFS_EXPECTS(config_.speeds.contains(id));
+  (void)speed_of(id);  // aborts unless the speed is known
   add_server_id(id);
   return adopt(refine(owners(), total_load()));
 }

@@ -91,14 +91,15 @@ class PrescientPolicy final : public AssignmentPolicyBase {
                                     double seconds, double speed,
                                     double norm_cap) const;
 
-  /// Per-server (demand, count) totals; every alive server present.
-  using ServerLoads = std::map<ServerId, std::pair<double, double>>;
+  /// Per-server (demand, count) totals, indexed by ServerId.value.
+  using ServerLoads = std::vector<std::pair<double, double>>;
   [[nodiscard]] ServerLoads per_server(const std::vector<ServerId>& assignment,
                                        const WindowLoad& load) const;
 
   /// The alive server with the least normalized load after taking on
-  /// `demand` on top of its `acc` total (ties: lowest id).
-  [[nodiscard]] ServerId least_loaded(const std::map<ServerId, double>& acc,
+  /// `demand` on top of its `acc` total, indexed by ServerId.value (ties:
+  /// lowest id).
+  [[nodiscard]] ServerId least_loaded(const std::vector<double>& acc,
                                       double demand) const;
 
   /// The search objective of a full assignment (max server score).
@@ -122,6 +123,9 @@ class PrescientPolicy final : public AssignmentPolicyBase {
   [[nodiscard]] double speed_of(ServerId id) const;
 
   PrescientConfig config_;
+  // config_.speeds by ServerId.value; 0 marks an id with no speed. Every
+  // per-server table the search keeps has this size.
+  std::vector<double> speed_;
   // Per-set time-sorted (time, prefix-demand) for O(log n) window sums.
   std::vector<std::vector<double>> set_times_;
   std::vector<std::vector<double>> set_prefix_;

@@ -58,6 +58,7 @@ LookupService::LookupService(ServeConfig config)
   }
   system_ = std::make_unique<core::AnuSystem>(config_.anu, initial_ids_);
 
+  fault::validate_or_die(config_.faults, config_.n_servers);
   // Fold the fault plan's membership events into the churn schedule in
   // time order (reversed storage; the writer pops from the back). Limp
   // and SAN windows shape latency in the simulator, not addressing, so
@@ -82,12 +83,13 @@ LookupService::LookupService(ServeConfig config)
                      return a.time > b.time;  // reversed for pop_back()
                    });
   plan_events_.reserve(timed.size());
-  std::uint32_t max_id = config_.n_servers;
   for (const TimedEvent& e : timed) {
     plan_events_.emplace_back(e.is_fail, e.server);
-    max_id = std::max(max_id, e.server.value + 1);
   }
-  next_fresh_server_ = max_id;
+  // A valid plan's additions take exactly the ids after the initial ones.
+  next_fresh_server_ =
+      config_.n_servers +
+      static_cast<std::uint32_t>(config_.faults.additions.size());
 
   // Per-reader state, heap-pinned: the atomics (and the epoch slots they
   // pair with) must never move.

@@ -154,6 +154,25 @@ TEST(FaultPlanValidate, RejectsBrokenMembershipSchedules) {
       validate(parse_fault_plan_text("san_slow 0 10 0\n"), 5).empty());
 }
 
+TEST(FaultPlanValidate, AddedIdsStayInTheDenseRange) {
+  // Four initial servers plus one addition: the added id must be 4.
+  EXPECT_TRUE(validate(parse_fault_plan_text("add 10 4 1.0\n"), 4).empty());
+  const std::vector<std::string> high =
+      validate(parse_fault_plan_text("add 10 5 1.0\n"), 4);
+  ASSERT_EQ(high.size(), 1u);
+  EXPECT_NE(high[0].find("server id 5 outside"), std::string::npos)
+      << high[0];
+  const std::vector<std::string> wrapped =
+      validate(parse_fault_plan_text("add 10 4294967295 1.0\n"), 4);
+  ASSERT_FALSE(wrapped.empty());
+  EXPECT_NE(wrapped[0].find("server id 4294967295"), std::string::npos)
+      << wrapped[0];
+  // Two additions widen the range by two.
+  EXPECT_TRUE(
+      validate(parse_fault_plan_text("add 10 5 1.0\nadd 20 4 1.0\n"), 4)
+          .empty());
+}
+
 TEST(FaultPlanValidate, EnforcesMinimumAliveServers) {
   const FaultPlan plan = parse_fault_plan_text(
       "crash 10 0\n"

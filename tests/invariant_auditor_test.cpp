@@ -117,6 +117,30 @@ TEST(AuditRecords, DetectsUnregisteredOwnerAndBadIndex) {
   EXPECT_TRUE(mentions(report, "partitions exist")) << report.to_string();
 }
 
+TEST(AuditRecords, OwnersOutsideTheRegisteredIdsAreUnregistered) {
+  Records records = legal_records();
+  records[4].owner = kInvalidServer;  // the largest id value there is
+  records[5].owner = ServerId{4000};  // above every registered id
+  const auto report = InvariantAuditor::audit_records(16, ids(3), records);
+  EXPECT_TRUE(mentions(report, "partition 4 owned by unregistered server " +
+                                   std::to_string(kInvalidServer.value)))
+      << report.to_string();
+  EXPECT_TRUE(
+      mentions(report, "partition 5 owned by unregistered server 4000"))
+      << report.to_string();
+  EXPECT_EQ(report.violations.size(), 2u) << report.to_string();
+}
+
+TEST(AuditRecords, DetectsDuplicateServerIds) {
+  const std::vector<ServerId> servers = {ServerId{0}, ServerId{1},
+                                         ServerId{1}, ServerId{2}};
+  const auto report =
+      InvariantAuditor::audit_records(16, servers, legal_records());
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0],
+            "server list contains duplicates (4 ids, 3 distinct)");
+}
+
 TEST(AuditRecords, DetectsPartitionBoundViolation) {
   // 16 partitions support at most n with 2(n+1) <= 16, i.e. n <= 7.
   const auto report =

@@ -227,5 +227,32 @@ TEST(PairwiseTuner, NoCentralStateAcrossInstances) {
   }
 }
 
+TEST(PairwiseTuner, LastOfDuplicateReportsWins) {
+  // Server 1 holds no measure, so no round-1 pairing can move any: the
+  // duplicates only decide which latency server 1 remembers. In round 2
+  // the cold side refuses while its latency rises above that memory.
+  RegionMap map = RegionMap::for_servers(2);
+  map.add_server(ServerId{0});
+  map.add_server(ServerId{1});
+  map.resize(ServerId{0}, kHalfInterval);
+  const auto remembered_as = [&](double first, double last) {
+    PairwiseTuner tuner{PairwiseConfig{}};
+    const TuneDecision round1 = tuner.retune(
+        {{ServerId{1}, first, 10}, {ServerId{0}, 0.010, 10},
+         {ServerId{1}, last, 10}},
+        map);
+    EXPECT_FALSE(round1.acted);
+    EXPECT_EQ(round1.targets.size(), 3u);
+    return tuner.retune({{ServerId{0}, 0.100, 10}, {ServerId{1}, 0.007, 10}},
+                        map);
+  };
+  // Remembered 0.006: 0.007 is rising, so the exchange is refused.
+  EXPECT_FALSE(remembered_as(0.050, 0.006).acted);
+  // Remembered 0.050: 0.007 is falling, so server 0 sheds to server 1.
+  const TuneDecision shed = remembered_as(0.006, 0.050);
+  EXPECT_TRUE(shed.acted);
+  EXPECT_LT(shed.targets[0].second, kHalfInterval);
+}
+
 }  // namespace
 }  // namespace anufs::core

@@ -368,5 +368,23 @@ TEST_P(RegionMapFuzz, RandomOperationsKeepInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionMapFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+TEST(RegionMap, ReaddedHighIdStartsWithZeroShare) {
+  RegionMap map(16);
+  map.add_server(ServerId{0});
+  map.add_server(ServerId{1000});
+  map.resize(ServerId{0}, kHalfInterval / 2);
+  map.resize(ServerId{1000}, kHalfInterval / 2);
+  map.remove_server(ServerId{1000});
+  EXPECT_FALSE(map.has_server(ServerId{1000}));
+  map.add_server(ServerId{1000});
+  EXPECT_EQ(map.share(ServerId{1000}), 0u);
+  EXPECT_TRUE(map.segments(ServerId{1000}).empty());
+  EXPECT_EQ(map.total_share(), kHalfInterval / 2);
+  map.check_invariants();
+  map.resize(ServerId{1000}, kHalfInterval / 2);
+  EXPECT_EQ(map.total_share(), kHalfInterval);
+  map.check_invariants();
+}
+
 }  // namespace
 }  // namespace anufs::core

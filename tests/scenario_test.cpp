@@ -150,6 +150,16 @@ TEST(ScenarioParseDeathTest, MalformedLinesNamedAtTheirLine) {
   }
 }
 
+TEST(ScenarioParseDeathTest, AddedIdOutsideTheDenseRange) {
+  // Two initial servers and one `add`: only id 2 is free, and the
+  // diagnostic names the line of the offending `add`.
+  EXPECT_DEATH((void)parse_scenario_text("add 100 3 1.0\nservers 1,2\n"),
+               "anufs-scenario: <inline>:1: add: server id 3 outside");
+  EXPECT_DEATH(
+      (void)parse_scenario_text("servers 1,2\nadd 100 4294967295 1.0\n"),
+      "<inline>:2: add: server id 4294967295 outside");
+}
+
 TEST(ScenarioParseDeathTest, UnknownKey) {
   EXPECT_DEATH((void)parse_scenario_text("frobnicate 1\n"), "unknown key");
 }

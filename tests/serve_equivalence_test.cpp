@@ -125,5 +125,20 @@ TEST(ServeEquivalenceTest, FaultPlanMembershipEventsEnterTheOpLog) {
   EXPECT_TRUE(service.check_equivalence().ok());
 }
 
+TEST(ServeEquivalenceDeathTest, PlanAddingAnIdPastTheDenseRangeIsRejected) {
+  ServeConfig config = property_config(/*seed=*/1);
+  config.threads = 1;
+  config.writer_ops = 8;
+  config.n_servers = 4;
+  config.file_sets = 64;
+  config.faults = fault::parse_fault_plan_text("add 10 4294967295 1.0\n");
+  EXPECT_DEATH(
+      {
+        LookupService service(std::move(config));
+        (void)service.run();
+      },
+      "addition of server id 4294967295");
+}
+
 }  // namespace
 }  // namespace anufs::serve

@@ -30,8 +30,9 @@ dynamically but the source can prove statically:
                    derived state (PlacementCache) can never silently
                    survive a mutation.
   P1 parsing       No string-to-number call (std::sto*, strto*, ato*)
-                   in src/ or tools/ outside common/line_reader.h, the
-                   one home of the input token grammar.
+                   in src/, tools/, bench/*.cpp or examples/*.cpp outside
+                   common/line_reader.h, the one home of the input token
+                   grammar.
 
 Waivers: a finding on line N is suppressed when line N, or the block of
 comment lines immediately above it, contains
@@ -44,7 +45,8 @@ The checker is deliberately compiler-free: it lexes (comments, strings,
 and preprocessor lines are blanked with line structure preserved) and
 matches tokens, so it runs anywhere Python 3 runs. Translation units
 come from the CMake compile database when one exists; headers are
-discovered by walking src/; P1 also walks tools/. Exit status: 0 clean, 1 findings, 2 usage
+discovered by walking src/; P1 also walks tools/, bench/*.cpp and
+examples/*.cpp. Exit status: 0 clean, 1 findings, 2 usage
 or internal error.
 """
 
@@ -755,8 +757,11 @@ def main(argv: list[str]) -> int:
         findings += check_g1(sources)
     if "P1" in rules:
         # Command-line flags convert numbers too (not in fixture mode).
-        tools = [] if args.files else sorted((root / "tools").rglob("*.cpp"))
-        findings += check_p1(sources + [SourceFile(p) for p in tools])
+        drivers = [] if args.files else sorted(
+            list((root / "tools").rglob("*.cpp")) +
+            list((root / "bench").glob("*.cpp")) +
+            list((root / "examples").glob("*.cpp")))
+        findings += check_p1(sources + [SourceFile(p) for p in drivers])
 
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
     for f in findings:
