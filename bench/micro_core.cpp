@@ -185,10 +185,10 @@ void BM_ServeLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLocate)->Arg(1)->Arg(64)->Arg(256);
 
-// The batched reader-loop iteration: one epoch pin, one
-// cache.locate_many sweep, one digest fold — exactly what
-// serve::LookupService::run_batch now does per batch. Compare items/s
-// against BM_ServeLocate's per-lookup loop at the same batch size.
+// The batched reader-loop iteration: one epoch pin, one calculated
+// map.locate_many sweep, one fold — what serve::LookupService::run_batch
+// does per batch. Compare items/s against BM_ServeLocate's per-lookup
+// cached loop at the same batch size.
 void BM_ServeLocateBatch(benchmark::State& state) {
   const auto batch = static_cast<std::uint32_t>(state.range(0));
   std::vector<ServerId> servers;
@@ -196,7 +196,6 @@ void BM_ServeLocateBatch(benchmark::State& state) {
   core::AnuSystem system{core::AnuConfig{}, servers};
   serve::SnapshotStore store(/*max_readers=*/1);
   store.publish(system.placement());
-  core::PlacementCache cache(16384);
   const std::vector<std::uint64_t> fps = working_set_fps();
   std::vector<std::uint64_t> in(batch);
   for (std::uint32_t k = 0; k < batch; ++k) in[k] = fps[k & (kWorkingSet - 1)];
@@ -204,14 +203,13 @@ void BM_ServeLocateBatch(benchmark::State& state) {
   std::uint64_t folded = 0;
   for (auto _ : state) {
     const serve::Snapshot* snap = store.acquire(0);
-    cache.locate_many(snap->map, in, out);
+    snap->map.locate_many(in, out);
     for (std::uint32_t k = 0; k < batch; ++k) folded ^= out[k].server.value;
     store.release(0);
   }
   benchmark::DoNotOptimize(folded);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
-  state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 BENCHMARK(BM_ServeLocateBatch)->Arg(1)->Arg(64)->Arg(256);
 

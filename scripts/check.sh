@@ -38,8 +38,8 @@
 #   serve-smoke  a 2-thread 1-second anufs_serve run (default preset's
 #             build) with --check: readers under live control-plane
 #             churn, every sample replayed sequentially; fails on zero
-#             throughput or any equivalence mismatch and logs the run's
-#             equivalence digest
+#             throughput, zero samples checked or any equivalence
+#             mismatch and logs the run's equivalence digest
 #   policy-smoke  replay one short seeded crash/recover scenario under
 #             the invariant auditor for EVERY policy in the registry
 #             (anufs_audit --policies all) — the tripwire for anyone
@@ -202,6 +202,10 @@ for stage in "${STAGES[@]}"; do
       || { echo "serve-smoke: no lookups served" >&2; exit 1; }
     echo "$SERVE_OUT" | grep -Eq 'equivalence: .* digest [0-9a-f]+ -> OK' \
       || { echo "serve-smoke: missing equivalence digest" >&2; exit 1; }
+    # Samples are answers the readers' batches served; a service that
+    # stopped recording them would pass the replay vacuously.
+    echo "$SERVE_OUT" | grep -Eq 'equivalence: [1-9][0-9]* samples checked' \
+      || { echo "serve-smoke: no samples checked" >&2; exit 1; }
     continue
   fi
   if [ "$stage" = policy-smoke ]; then

@@ -69,8 +69,8 @@ class AnuSystem {
   // Request routing is calculated, not memoized: every call walks the
   // probe chain of placement_ ("successive hash probes incur negligible
   // costs", §4). An AnuSystem therefore holds no mutable state behind
-  // its const API; serving-side readers that do want a memo own a
-  // PlacementCache over placement() (see serve::LookupService).
+  // its const API, and serving readers calculate against snapshots of
+  // placement() the same way (see serve::LookupService).
 
   [[nodiscard]] ANUFS_HOT ServerId locate(std::uint64_t fingerprint) const {
     return placement_.locate(fingerprint).server;
@@ -87,9 +87,7 @@ class AnuSystem {
     placement_.locate_many(fps, out);
   }
 
-  /// Always zero: an AnuSystem keeps no placement cache. Kept only for
-  /// benchmark/src/sim_workloads.cpp:249, which reports the simulator's
-  /// cache layer as 0, as it does for any layer a workload never runs.
+  /// Always zero; held for benchmark/ until ROADMAP item 1 deletes it.
   [[nodiscard]] PlacementCache::Stats cache_stats() const noexcept {
     return {};
   }

@@ -32,24 +32,21 @@
 // on residency, only on the stamp checks. The table never allocates
 // after construction.
 //
-// Who uses it: serving mode gives every reader thread its own cache over
-// the published snapshots (serve::LookupService); benchmarks and tests
-// build one over a PlacementMap they own. The simulator does not: its
-// AnuSystem calculates every locate(), because on simulator traffic
-// (each file set resolved once per reconfiguration) a memo only adds a
-// miss path on top of PlacementMap::locate_many.
+// Who uses it: only benchmark/, bench/ and tests, which build one over a
+// PlacementMap they own; the class is held for benchmark/ until ROADMAP
+// item 1 deletes it. Neither the simulator nor serving mode does: both
+// calculate every locate(), because the layer replay measured the memo
+// costing more than the PlacementMap::locate_many sweep it saves.
 //
 // Thread ownership: like the Scheduler, a PlacementCache is confined to
 // one thread for MUTATION — exactly one thread ever calls locate() or
 // clear() on a given instance. The hit/miss counters, however, are
 // single-writer relaxed atomics, so stats() is safe to call from ANY
-// thread at any time: serving mode harvests per-thread cache
-// effectiveness into run_metrics while the readers are still running
-// (tests/serve_harvest_test.cpp proves the mid-serve harvest is
-// race-free under TSan). Single-writer is what makes the load+store
-// increment below exact — there is no concurrent increment to lose —
-// while costing the owner a plain add, not an interlocked RMW, on the
-// ~2.7 ns hot path.
+// thread at any time (tests/serve_harvest_test.cpp proves a concurrent
+// harvest is race-free under TSan). Single-writer is what makes the
+// load+store increment below exact — there is no concurrent increment
+// to lose — while costing the owner a plain add, not an interlocked
+// RMW, on the ~2.7 ns hot path.
 #pragma once
 
 #include <algorithm>

@@ -506,8 +506,7 @@ cluster::RunResult run_scenario(const ScenarioConfig& config,
        << metrics::TableEmitter::num(s.seconds) << " s: " << s.lookups
        << " lookups ("
        << metrics::TableEmitter::num(s.lookups_per_second / 1e6)
-       << "M/s), cache hit rate "
-       << metrics::TableEmitter::num(s.cache.hit_rate()) << ", p99 "
+       << "M/s), p99 "
        << metrics::TableEmitter::num(s.p99_ns) << " ns, " << s.ops_applied
        << " control-plane ops, generation " << s.final_generation << "\n";
     os << "serving equivalence OK: " << eq.samples_checked

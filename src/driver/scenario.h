@@ -50,7 +50,7 @@
 //   serve_threads 8            # 0 = off; else append a real-time
 //                              #   serving phase (src/serve) after the
 //                              #   simulated run: N reader threads of
-//                              #   concurrent cached lookups under
+//                              #   concurrent calculated lookups under
 //                              #   epoch-snapshot control-plane churn,
 //                              #   equivalence-checked against a
 //                              #   sequential replay
@@ -131,7 +131,7 @@ struct ScenarioConfig {
   [[nodiscard]] bool is_sweep() const noexcept { return sweep_end != 0; }
   /// Serving phase (src/serve): serve_threads > 0 appends a REAL-TIME
   /// concurrent serving run after the simulated one — serve_threads
-  /// reader threads issue cached locates against the placement
+  /// reader threads calculate locates against the placement
   /// snapshots a writer publishes as it churns the control plane. The
   /// scenario's seed, file_sets, fault plan, and ANU knobs shape it;
   /// its serve_* metrics join the exported registry, and the phase

@@ -9,17 +9,16 @@ namespace anufs::metrics {
 
 namespace {
 
-// Ceil-rank (nearest-rank) percentile over an ALREADY-SORTED sample.
-// The single definition both percentile() and summarize() use — they
-// previously carried two copies of the rank arithmetic, and only one
-// handled q == 0 (ceil(0 * n) == 0 must mean "the minimum", not an
-// underflowed rank).
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  ANUFS_EXPECTS(!sorted.empty());
-  if (q <= 0.0) return sorted.front();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank - 1, sorted.size() - 1)];
+// Ceil-rank (nearest-rank) index of the q-quantile in a sample of n.
+// The single definition percentile(), percentile_in_place() and
+// summarize() use — ceil(0 * n) == 0 must mean "the minimum", not an
+// underflowed rank.
+std::size_t nearest_rank_index(std::size_t n, double q) {
+  ANUFS_EXPECTS(n > 0);
+  if (q <= 0.0) return 0;
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  return std::min(rank - 1, n - 1);
 }
 
 }  // namespace
@@ -28,7 +27,17 @@ double percentile(std::vector<double> values, double q) {
   ANUFS_EXPECTS(q >= 0.0 && q <= 1.0);
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  return percentile_sorted(values, q);
+  return values[nearest_rank_index(values.size(), q)];
+}
+
+double percentile_in_place(std::vector<double>& values, double q) {
+  ANUFS_EXPECTS(q >= 0.0 && q <= 1.0);
+  if (values.empty()) return 0.0;
+  const auto nth =
+      values.begin() +
+      static_cast<std::ptrdiff_t>(nearest_rank_index(values.size(), q));
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
 }
 
 Summary summarize(std::vector<double> values) {
@@ -51,8 +60,8 @@ Summary summarize(std::vector<double> values) {
   for (const double v : values) var += (v - s.mean) * (v - s.mean);
   s.stddev = std::sqrt(var / static_cast<double>(n));
 
-  s.p95 = percentile_sorted(values, 0.95);
-  s.p99 = percentile_sorted(values, 0.99);
+  s.p95 = values[nearest_rank_index(n, 0.95)];
+  s.p99 = values[nearest_rank_index(n, 0.99)];
   return s;
 }
 

@@ -28,4 +28,10 @@ struct Summary {
 /// Nearest-rank percentile of a sample (q in [0,1]); 0 for empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double q);
 
+/// percentile() without the copy or the full sort: selects the same
+/// nearest-rank element with std::nth_element, reordering `values`.
+/// Repeated calls on one vector stay exact (selection needs no order).
+[[nodiscard]] double percentile_in_place(std::vector<double>& values,
+                                         double q);
+
 }  // namespace anufs::metrics

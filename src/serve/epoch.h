@@ -30,8 +30,8 @@
 // tests/serve_stress_test.cpp re-proves this dynamically under TSan.
 //
 // Pin cost is one seq_cst exchange (~a locked xchg); serving amortizes
-// it over a batch of lookups, so it vanishes against the ~2.7 ns cached
-// locate (measured by BM_ServeLocate).
+// it over a batch of lookups, so it vanishes against the batch's
+// calculated locates (measured by BM_ServeLocate).
 #pragma once
 
 #include <atomic>

@@ -94,13 +94,9 @@ LookupService::LookupService(ServeConfig config)
   // Per-reader state, heap-pinned: the atomics (and the epoch slots they
   // pair with) must never move.
   readers_.reserve(config_.threads);
-  const std::size_t cache_capacity =
-      config_.reader_cache_capacity != 0
-          ? config_.reader_cache_capacity
-          : std::max<std::size_t>(16384, std::size_t{16} * config_.file_sets);
   for (std::uint32_t i = 0; i < config_.threads; ++i) {
     readers_.push_back(std::make_unique<ReaderState>(
-        sim::derive_seed(config_.seed, "serve/reader", i), cache_capacity,
+        sim::derive_seed(config_.seed, "serve/reader", i),
         config_.batch_size));
   }
 
@@ -141,25 +137,27 @@ void LookupService::stop() {
   ServeResult& r = result_;
   r.threads = config_.threads;
   r.seconds = sim::ns_to_seconds(serve_begin_ns_, end_ns);
+  // One exactly-sized merge of the per-batch timings; each reader's
+  // vector is released as soon as it is merged, and both percentiles
+  // select in place, so at most two copies of the timings ever coexist.
+  std::size_t timed_batches = 0;
+  for (const auto& reader : readers_) timed_batches += reader->batch_ns.size();
   std::vector<double> all_batch_ns;
+  all_batch_ns.reserve(timed_batches);
   for (const auto& reader : readers_) {
     r.lookups += reader->lookups.load(std::memory_order_relaxed);
-    const auto stats = reader->cache.stats();
-    r.cache.hits += stats.hits;
-    r.cache.misses += stats.misses;
-    r.cache.invalidations += stats.invalidations;
-    r.cache.revalidated += stats.revalidated;
     r.digest ^= reader->digest;
     r.samples += reader->samples.size();
     r.latency_ns.merge(reader->latency_ns);
     all_batch_ns.insert(all_batch_ns.end(), reader->batch_ns.begin(),
                         reader->batch_ns.end());
+    std::vector<double>().swap(reader->batch_ns);
   }
   r.lookups_per_second =
       r.seconds > 0.0 ? static_cast<double>(r.lookups) / r.seconds : 0.0;
   r.mean_ns = r.latency_ns.mean();
-  r.p50_ns = metrics::percentile(all_batch_ns, 0.50);
-  r.p99_ns = metrics::percentile(std::move(all_batch_ns), 0.99);
+  r.p50_ns = metrics::percentile_in_place(all_batch_ns, 0.50);
+  r.p99_ns = metrics::percentile_in_place(all_batch_ns, 0.99);
   r.ops_applied = ops_.size();
   r.snapshots_published = store_.published();
   r.snapshots_freed = store_.freed();
@@ -202,11 +200,6 @@ LiveStats LookupService::live_stats() const {
   for (const auto& reader : readers_) {
     out.lookups += reader->lookups.load(std::memory_order_relaxed);
     out.batches += reader->batches.load(std::memory_order_relaxed);
-    const auto stats = reader->cache.stats();
-    out.cache.hits += stats.hits;
-    out.cache.misses += stats.misses;
-    out.cache.invalidations += stats.invalidations;
-    out.cache.revalidated += stats.revalidated;
   }
   return out;
 }
@@ -372,9 +365,10 @@ void LookupService::reader_loop(std::size_t idx) {
       (std::uint64_t{1} << config_.sample_every_batches_log2) - 1;
   // Cap the raw per-batch timing sample (the histogram keeps counting
   // past it); 1M batches of timing resolve p99 far beyond what the
-  // log-bucketed histogram could.
+  // log-bucketed histogram could. Reserved whole once: the pages only
+  // become resident as batches write them, and the vector never regrows.
   constexpr std::size_t kMaxTimedBatches = std::size_t{1} << 20;
-  r.batch_ns.reserve(std::min<std::size_t>(kMaxTimedBatches, 1u << 14));
+  r.batch_ns.reserve(kMaxTimedBatches);
 
   while (!stop_.load(std::memory_order_relaxed)) {
     const std::uint64_t t0 = sim::monotonic_ns();
@@ -403,9 +397,10 @@ void LookupService::reader_loop(std::size_t idx) {
 
 void LookupService::run_batch(ReaderState& r, const core::PlacementMap& map,
                               std::uint32_t n) {
-  // Draw the whole batch first (locate never touches the rng, so the
-  // draw sequence is exactly what the per-lookup loop produced), resolve
-  // it with one batched sweep, then fold in draw order. Staging is
+  // Draw the whole batch, calculate it with one batched sweep, then fold
+  // it: each answer folds from a zero chain, independently of the others
+  // (so the folds pipeline instead of forming one serial chain), and the
+  // batch's sum takes one step of the reader's mix64 chain. Staging is
   // preallocated at batch_size in the ReaderState constructor.
   const std::uint64_t set_size = fingerprints_.size();
   std::uint64_t* fps = r.batch_fps.data();
@@ -413,26 +408,28 @@ void LookupService::run_batch(ReaderState& r, const core::PlacementMap& map,
   for (std::uint32_t i = 0; i < n; ++i) {
     fps[i] = fingerprints_[r.rng.next_below(set_size)];
   }
-  r.cache.locate_many(map, std::span<const std::uint64_t>(fps, n),
-                      std::span<core::LocateResult>(results, n));
-  std::uint64_t digest = r.digest;
+  map.locate_many(std::span<const std::uint64_t>(fps, n),
+                  std::span<core::LocateResult>(results, n));
+  std::uint64_t sum = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    digest = fold_result(digest, fps[i], results[i]);
+    sum += fold_result(0, fps[i], results[i]);
   }
-  r.digest = digest;
+  r.digest = hash::mix64(r.digest ^ sum);
 }
 
 void LookupService::record_sample(ReaderState& r, const Snapshot& snap) {
   // A torn or re-published snapshot would disagree with its own stamp.
   ANUFS_ENSURES(snap.map.regions().generation() == snap.generation);
   Sample s;
-  s.fingerprint = fingerprints_[r.rng.next_below(fingerprints_.size())];
+  // run_batch always fills the whole staging, so back() is the answer
+  // the batch served last.
+  s.fingerprint = r.batch_fps.back();
   s.generation = snap.generation;
-  s.result = r.cache.locate(snap.map, s.fingerprint);
+  s.result = r.batch_results.back();
   if (config_.validate_inline) {
-    // The cached answer must equal THIS snapshot's uncached derivation —
-    // the inline half of the correctness battery (the replay half is
-    // check_equivalence()).
+    // The batch kernel's answer must equal THIS snapshot's scalar
+    // derivation — the inline half of the correctness battery (the
+    // replay half is check_equivalence()).
     const core::LocateResult ref = snap.map.locate(s.fingerprint);
     ANUFS_ENSURES(results_equal(s.result, ref));
   }
@@ -464,7 +461,7 @@ EquivalenceReport LookupService::check_equivalence() const {
   // Sequential replay: a fresh system, the recorded ops in order. Every
   // published generation appears at exactly one op boundary (or the
   // initial state), and the samples served from it must match the
-  // sequential derivation (no cache) bit-for-bit.
+  // sequential derivation bit-for-bit.
   core::AnuSystem replay(config_.anu, initial_ids_);
   std::vector<std::uint64_t> bucket_fps;
   std::vector<core::LocateResult> bucket_refs;
@@ -516,14 +513,8 @@ void LookupService::harvest(const ServeResult& result,
   registry.counter("serve_final_generation").set(result.final_generation);
   registry.counter("serve_samples")
       .set(static_cast<std::uint64_t>(result.samples));
-  registry.counter("serve_cache_hits").set(result.cache.hits);
-  registry.counter("serve_cache_misses").set(result.cache.misses);
-  registry.counter("serve_cache_invalidations")
-      .set(result.cache.invalidations);
-  registry.counter("serve_cache_revalidated").set(result.cache.revalidated);
   registry.gauge("serve_seconds").set(result.seconds);
   registry.gauge("serve_lookups_per_second").set(result.lookups_per_second);
-  registry.gauge("serve_cache_hit_rate").set(result.cache.hit_rate());
   registry.gauge("serve_lookup_mean_ns").set(result.mean_ns);
   registry.gauge("serve_lookup_p50_ns").set(result.p50_ns);
   registry.gauge("serve_lookup_p99_ns").set(result.p99_ns);

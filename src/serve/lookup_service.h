@@ -6,17 +6,18 @@
 // single-thread confinement rule, unchanged) and drives seed-
 // deterministic control-plane churn — delegate retunes, server failures,
 // commissions — publishing an immutable placement snapshot through a
-// SnapshotStore after every mutation. N READER threads each own a
-// PlacementCache and route lookups against the snapshot they have
-// pinned; they never take a lock and never block on the control plane,
-// and the control plane never waits for them (serve/epoch.h has the
-// reclamation proof, DESIGN.md §6i the prose).
+// SnapshotStore after every mutation. N READER threads calculate every
+// lookup against the snapshot they have pinned — no memo, one batched
+// locate_many sweep per batch; they never take a lock and never block on
+// the control plane, and the control plane never waits for them
+// (serve/epoch.h has the reclamation proof, DESIGN.md §6i the prose).
 //
 // Correctness is checked two ways, both exercised by the test battery:
 //
-//  * INLINE — each recorded sample is validated against the very
-//    snapshot it was served from (cached result == that snapshot's
-//    uncached locate), so a torn or half-published map cannot hide;
+//  * INLINE — each recorded sample is an answer a batch served, checked
+//    against the very snapshot it was served from (batch-kernel answer
+//    == that snapshot's scalar locate), so a torn or half-published map
+//    or a batch/scalar divergence cannot hide;
 //  * REPLAY — the writer records every control-plane op verbatim
 //    (retune reports included); check_equivalence() replays the log on
 //    a fresh AnuSystem and requires every concurrently-served sample to
@@ -49,7 +50,7 @@
 namespace anufs::serve {
 
 struct ServeConfig {
-  /// Reader thread count (each gets its own epoch slot, cache, RNG).
+  /// Reader thread count (each gets its own epoch slot and RNG).
   std::uint32_t threads = 4;
   /// Wall-clock serving window. 0 = run until the writer exhausts
   /// `writer_ops` and every reader has completed `min_batches` (the
@@ -79,14 +80,12 @@ struct ServeConfig {
   /// With seconds == 0: each reader runs at least this many batches.
   std::uint64_t min_batches = 64;
   /// Record one sample every 2^k batches per reader (k = this; the
-  /// sample is an extra lookup validated inline against the pinned
-  /// snapshot when validate_inline is set).
+  /// sample is the batch's last served answer, validated inline against
+  /// the pinned snapshot's scalar locate when validate_inline is set).
   std::uint32_t sample_every_batches_log2 = 2;
   std::size_t max_samples_per_reader = 4096;
   bool validate_inline = true;
-  /// Per-reader PlacementCache slots; 0 = auto (16x file_sets, floor
-  /// 16384), which keeps direct-mapped collision misses to a few
-  /// percent (the cache never resolves collisions; it just overwrites).
+  /// Ignored (no reader cache); held for benchmark/ until ROADMAP item 1.
   std::size_t reader_cache_capacity = 0;
 };
 
@@ -112,7 +111,6 @@ struct WriterOp {
 struct LiveStats {
   std::uint64_t lookups = 0;
   std::uint64_t batches = 0;
-  core::PlacementCache::Stats cache;  ///< summed across readers
 };
 
 struct ServeResult {
@@ -120,6 +118,7 @@ struct ServeResult {
   double seconds = 0.0;  ///< measured serving wall time
   std::uint64_t lookups = 0;
   double lookups_per_second = 0.0;
+  /// Always zero; held for benchmark/ until ROADMAP item 1 deletes it.
   core::PlacementCache::Stats cache;
   /// Per-lookup latency derived from per-batch timing (ns).
   double mean_ns = 0.0;
@@ -134,8 +133,9 @@ struct ServeResult {
   std::uint64_t snapshots_freed = 0;
   std::size_t snapshots_pending = 0;  ///< retired, not yet reclaimed
   std::uint64_t final_generation = 0;
-  /// Order-independent fold of every served result (XOR of per-reader
-  /// mix64 chains): two runs serving the same answers agree on it.
+  /// Fold of every served answer: per-batch sums of independent answer
+  /// folds, chained per reader through mix64 and XORed across readers,
+  /// so neither the readers' interleaving nor in-batch order moves it.
   std::uint64_t digest = 0;
   std::size_t samples = 0;
 };
@@ -180,7 +180,7 @@ class LookupService {
   ServeResult run();
 
   /// Any-thread progress probe; safe while readers are running (the
-  /// per-reader counters and cache stats are single-writer atomics).
+  /// per-reader counters are single-writer atomics).
   [[nodiscard]] LiveStats live_stats() const;
 
   [[nodiscard]] bool running() const noexcept {
@@ -204,13 +204,8 @@ class LookupService {
   /// Everything one reader thread owns, cache-line padded so neighbours
   /// never false-share the hot counters.
   struct alignas(64) ReaderState {
-    ReaderState(std::uint64_t stream_seed, std::size_t cache_capacity,
-                std::uint32_t batch_size)
-        : cache(cache_capacity),
-          rng(stream_seed),
-          batch_fps(batch_size),
-          batch_results(batch_size) {}
-    core::PlacementCache cache;
+    ReaderState(std::uint64_t stream_seed, std::uint32_t batch_size)
+        : rng(stream_seed), batch_fps(batch_size), batch_results(batch_size) {}
     sim::Xoshiro256 rng;
     /// run_batch staging, preallocated so the hot path never allocates
     /// (H1): the batch's drawn fingerprints and their batched answers.
@@ -219,7 +214,7 @@ class LookupService {
     std::uint64_t digest = 0;
     std::uint64_t batch_count = 0;
     std::vector<Sample> samples;          ///< reader-confined until join
-    std::vector<double> batch_ns;         ///< per-lookup ns, one per batch
+    std::vector<double> batch_ns;  ///< per-lookup ns, one per batch
     obs::Histogram latency_ns{1.0, 40};   ///< same values, mergeable form
     std::atomic<std::uint64_t> lookups{0};   ///< single-writer, any-reader
     std::atomic<std::uint64_t> batches{0};   ///< single-writer, any-reader
@@ -227,16 +222,16 @@ class LookupService {
 
   void writer_loop();
   void reader_loop(std::size_t idx);
-  /// The serving hot path: `n` cached lookups against the pinned
+  /// The serving hot path: `n` lookups calculated against the pinned
   /// snapshot's map — drawn into preallocated staging, resolved with one
-  /// batched cache.locate_many sweep, then digest-folded in draw order
-  /// (bit-identical to the per-lookup loop: the rng drives only the
-  /// draws, and locate_many preserves per-element results, counters, and
-  /// cache state). Allocation/lock/sleep-free by rule H1
-  /// (tools/anufs_lint.py walks its call graph).
+  /// map.locate_many sweep (each answer bit-identical to map.locate),
+  /// then folded into the digest by independent per-answer hashes.
+  /// Allocation/lock/sleep-free by rule H1 (tools/anufs_lint.py walks
+  /// its call graph).
   ANUFS_HOT void run_batch(ReaderState& r, const core::PlacementMap& map,
                            std::uint32_t n);
-  /// Off the hot path: one extra validated lookup recorded for replay.
+  /// Off the hot path: record the batch's last served answer for replay
+  /// (no extra lookup), checked inline against the scalar locate.
   ANUFS_COLD void record_sample(ReaderState& r, const Snapshot& snap);
 
   /// Build (and record) the next churn op; returns false when the op

@@ -6,13 +6,12 @@
 // plane operation the writer publishes a Snapshot — a value copy of the
 // PlacementMap plus its generation — through a SnapshotStore. Readers
 // pin an epoch (serve/epoch.h), load the current snapshot pointer, and
-// route any number of lookups against it with their own per-thread
-// PlacementCache; they never block on the control plane and the control
-// plane never blocks on them. Superseded snapshots are retired into a
-// writer-local list and freed once every reader epoch has advanced past
-// the retirement stamp — "why retired snapshots are safe to free" is
-// the memory-ordering argument in epoch.h (DESIGN.md §6i walks it in
-// prose).
+// calculate any number of lookups against it; they never block on the
+// control plane and the control plane never blocks on them. Superseded
+// snapshots are retired into a writer-local list and freed once every
+// reader epoch has advanced past the retirement stamp — "why retired
+// snapshots are safe to free" is the memory-ordering argument in
+// epoch.h (DESIGN.md §6i walks it in prose).
 //
 // Publication correctness leans on the same discipline the placement
 // cache does: rule G1 statically guarantees every RegionMap mutator

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "metrics/emit.h"
 #include "metrics/series.h"
@@ -74,6 +76,34 @@ TEST(Summary, Percentiles) {
   EXPECT_DOUBLE_EQ(percentile(values, 0.5), 50.0);
   EXPECT_DOUBLE_EQ(percentile(values, 1.0), 100.0);
   EXPECT_DOUBLE_EQ(percentile(values, 0.0), 1.0);
+}
+
+// percentile_in_place selects with nth_element instead of sorting a
+// copy; it must pick the same element as percentile() for every q,
+// including on a vector a previous call already reordered.
+TEST(Summary, PercentileInPlaceMatchesPercentile) {
+  std::mt19937_64 rng(17);
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 99u, 100u, 101u, 4096u}) {
+    for (const bool few_values : {false, true}) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        // Drawing from 5 values forces long runs of duplicates.
+        v = static_cast<double>(few_values ? rng() % 5 : rng() % 1000000);
+      }
+      for (const double q : {0.0, 0.01, 0.25, 0.5, 0.99, 1.0}) {
+        std::vector<double> copy = values;
+        EXPECT_EQ(percentile_in_place(copy, q), percentile(values, q))
+            << "n " << n << " q " << q;
+      }
+      std::vector<double> twice = values;
+      const double p50 = percentile_in_place(twice, 0.50);
+      const double p99 = percentile_in_place(twice, 0.99);
+      EXPECT_EQ(p50, percentile(values, 0.50)) << "n " << n;
+      EXPECT_EQ(p99, percentile(values, 0.99)) << "n " << n;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(percentile_in_place(empty, 0.5), 0.0);
 }
 
 TEST(Summary, CvZeroWhenUniform) {

@@ -6,14 +6,14 @@
 // commissions under them — is replayed sequentially on a fresh
 // AnuSystem driven through the identical op log, and the LocateResult
 // must be bit-identical in all four fields (server, probes, fallback,
-// position). This is the serving analogue of the placement-cache
-// property test: the epoch/snapshot machinery and the per-reader caches
-// may change WHEN a lookup computes, never WHAT it computes.
+// position). The epoch/snapshot machinery may change WHEN a lookup
+// computes, never WHAT it computes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "core/anu_system.h"
+#include "core/placement.h"
 #include "fault/fault_plan.h"
 #include "serve/lookup_service.h"
 
@@ -85,19 +85,32 @@ TEST(ServeEquivalenceTest, OpLogReplayWalksIdenticalGenerations) {
   }
 }
 
-TEST(ServeEquivalenceTest, CacheAccountingIsExact) {
-  LookupService service(property_config(/*seed=*/9));
+TEST(ServeEquivalenceTest, LookupAccountingIsExact) {
+  const ServeConfig config = property_config(/*seed=*/9);
+  LookupService service(config);
   const ServeResult result = service.run();
-  // Every lookup went through a reader's PlacementCache: batch lookups
-  // plus one extra per recorded sample, nothing else. Exactness here is
-  // the single-writer counter claim — no increment was lost despite
+  // Every lookup is one slot of a served batch, nothing else: samples
+  // are answers the batches served, not extra lookups. Exactness here
+  // is the single-writer counter claim — no increment was lost despite
   // concurrent live_stats() harvesting being legal throughout.
-  EXPECT_EQ(result.cache.hits + result.cache.misses,
-            result.lookups + result.samples);
-  EXPECT_GT(result.cache.hits, 0u);
-  // Churn happened, so at least one epoch change was observed, and
-  // scoped revalidation did some of its cheap saves.
-  EXPECT_GT(result.cache.invalidations, 0u);
+  const LiveStats live = service.live_stats();
+  EXPECT_EQ(result.lookups, live.batches * config.batch_size);
+  EXPECT_EQ(live.lookups, result.lookups);
+  EXPECT_GT(result.samples, 0u);
+}
+
+// On an AVX-512 host the batch sweep normally runs the vector kernel;
+// forcing the portable multi-lane loop makes the inline check compare
+// that loop against the scalar path, and the replay (dispatched again)
+// compares it against the vector kernel.
+TEST(ServeEquivalenceTest, PortableKernelServesIdenticalAnswers) {
+  core::testing::force_portable_locate(true);
+  LookupService service(property_config(/*seed=*/13));
+  (void)service.run();
+  core::testing::force_portable_locate(false);
+  const EquivalenceReport eq = service.check_equivalence();
+  EXPECT_TRUE(eq.ok());
+  EXPECT_GT(eq.samples_checked, 0u);
 }
 
 TEST(ServeEquivalenceTest, FaultPlanMembershipEventsEnterTheOpLog) {

@@ -129,10 +129,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serve: %u threads, %.3f s, %llu lookups, %.2fM lookups/s, "
-      "hit_rate %.4f, %llu ops, %llu snapshots, gen %llu\n",
+      "%llu ops, %llu snapshots, gen %llu\n",
       result.threads, result.seconds,
       static_cast<unsigned long long>(result.lookups),
-      result.lookups_per_second / 1e6, result.cache.hit_rate(),
+      result.lookups_per_second / 1e6,
       static_cast<unsigned long long>(result.ops_applied),
       static_cast<unsigned long long>(result.snapshots_published),
       static_cast<unsigned long long>(result.final_generation));
@@ -141,13 +141,6 @@ int main(int argc, char** argv) {
         "  latency/lookup: mean %.1f ns, p50 %.1f ns, p99 %.1f ns "
         "(per-batch timing, batch %u)\n",
         result.mean_ns, result.p50_ns, result.p99_ns, batch);
-    std::printf(
-        "  cache: %llu hits, %llu misses, %llu invalidations, "
-        "%llu revalidated\n",
-        static_cast<unsigned long long>(result.cache.hits),
-        static_cast<unsigned long long>(result.cache.misses),
-        static_cast<unsigned long long>(result.cache.invalidations),
-        static_cast<unsigned long long>(result.cache.revalidated));
     std::printf(
         "  snapshots: %llu published, %llu freed, %zu pending; "
         "%zu samples recorded; digest %016llx\n",
