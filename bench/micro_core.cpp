@@ -19,6 +19,7 @@
 #include "policies/anu_policy.h"
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
+#include "serve/lookup_service.h"
 #include "serve/snapshot.h"
 #include "sim/distributions.h"
 #include "sim/queueing.h"
@@ -185,33 +186,46 @@ void BM_ServeLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLocate)->Arg(1)->Arg(64)->Arg(256);
 
-// The batched reader-loop iteration: one epoch pin, one calculated
-// map.locate_many sweep, one fold — what serve::LookupService::run_batch
-// does per batch. Compare items/s against BM_ServeLocate's per-lookup
-// cached loop at the same batch size.
-void BM_ServeLocateBatch(benchmark::State& state) {
+// The batched reader-loop iteration: one epoch pin, then
+// serve::serve_batch, the very kernel LookupService::run_batch calls
+// (two-pass key draw, one map.locate_many sweep, the digest fold), then
+// the release. Argument: batch size. The working set is drawn like the
+// service's (sim::make_stream "serve/filesets"); serve-hot's shape is
+// 16 servers and 4096 keys, serve-cold's 64 servers and 1M keys (8 MB,
+// so the draw's loads miss the cache).
+void serve_locate_batch(benchmark::State& state, std::uint32_t n_servers,
+                        std::uint32_t n_keys) {
   const auto batch = static_cast<std::uint32_t>(state.range(0));
   std::vector<ServerId> servers;
-  for (std::uint32_t i = 0; i < 16; ++i) servers.push_back(ServerId{i});
+  for (std::uint32_t i = 0; i < n_servers; ++i) servers.push_back(ServerId{i});
   core::AnuSystem system{core::AnuConfig{}, servers};
   serve::SnapshotStore store(/*max_readers=*/1);
   store.publish(system.placement());
-  const std::vector<std::uint64_t> fps = working_set_fps();
-  std::vector<std::uint64_t> in(batch);
-  for (std::uint32_t k = 0; k < batch; ++k) in[k] = fps[k & (kWorkingSet - 1)];
-  std::vector<core::LocateResult> out(batch);
-  std::uint64_t folded = 0;
+  std::vector<std::uint64_t> keys(n_keys);
+  sim::Xoshiro256 key_stream = sim::make_stream(42, "serve/filesets");
+  for (auto& key : keys) key = key_stream();
+  sim::Xoshiro256 rng = sim::make_stream(42, "serve/reader");
+  std::vector<std::uint64_t> fps(batch);
+  std::vector<core::LocateResult> results(batch);
+  std::uint64_t digest = 0;
   for (auto _ : state) {
     const serve::Snapshot* snap = store.acquire(0);
-    snap->map.locate_many(in, out);
-    for (std::uint32_t k = 0; k < batch; ++k) folded ^= out[k].server.value;
+    digest = serve::serve_batch(snap->map, keys, rng, fps, results, digest,
+                                /*stamps=*/nullptr);
     store.release(0);
   }
-  benchmark::DoNotOptimize(folded);
+  benchmark::DoNotOptimize(digest);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
 }
+void BM_ServeLocateBatch(benchmark::State& state) {
+  serve_locate_batch(state, 16, 4096);
+}
 BENCHMARK(BM_ServeLocateBatch)->Arg(1)->Arg(64)->Arg(256);
+void BM_ServeLocateBatchCold(benchmark::State& state) {
+  serve_locate_batch(state, 64, 1'000'000);
+}
+BENCHMARK(BM_ServeLocateBatchCold)->Arg(256);
 
 // Argument: calendar depth (events pending at every step). 64 is a
 // paper-scale run; sim-scale peaks near 42k pending, so 65536 is the

@@ -38,8 +38,9 @@
 #   serve-smoke  a 2-thread 1-second anufs_serve run (default preset's
 #             build) with --check: readers under live control-plane
 #             churn, every sample replayed sequentially; fails on zero
-#             throughput, zero samples checked or any equivalence
-#             mismatch and logs the run's equivalence digest
+#             throughput, zero samples checked, a missing `phases:` line
+#             or a zero draw/locate phase, or any equivalence mismatch,
+#             and logs the run's equivalence digest
 #   policy-smoke  replay one short seeded crash/recover scenario under
 #             the invariant auditor for EVERY policy in the registry
 #             (anufs_audit --policies all) — the tripwire for anyone
@@ -206,6 +207,11 @@ for stage in "${STAGES[@]}"; do
     # stopped recording them would pass the replay vacuously.
     echo "$SERVE_OUT" | grep -Eq 'equivalence: [1-9][0-9]* samples checked' \
       || { echo "serve-smoke: no samples checked" >&2; exit 1; }
+    # The in-situ phase timings: a run whose draw or locate phase reads
+    # zero timed nothing, or timed the wrong interval.
+    NONZERO='([1-9][0-9]*\.[0-9]+|0\.[0-9]*[1-9][0-9]*)'
+    echo "$SERVE_OUT" | grep -Eq "phases: pin [0-9.]+ ns, draw $NONZERO ns, locate $NONZERO ns, fold [0-9.]+ ns, release [0-9.]+ ns per lookup" \
+      || { echo "serve-smoke: missing or zero phase timings" >&2; exit 1; }
     continue
   fi
   if [ "$stage" = policy-smoke ]; then

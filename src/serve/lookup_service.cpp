@@ -1,8 +1,10 @@
 #include "serve/lookup_service.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -30,6 +32,36 @@ namespace {
 }
 
 }  // namespace
+
+std::uint64_t serve_batch(const core::PlacementMap& map,
+                          std::span<const std::uint64_t> keys,
+                          sim::Xoshiro256& rng, std::span<std::uint64_t> fps,
+                          std::span<core::LocateResult> results,
+                          std::uint64_t digest, std::uint64_t* stamps) {
+  const std::size_t n = fps.size();
+  // Draw, pass 1: the serial RNG chain. Each index is staged in fps and
+  // its key's line prefetched, so no load waits on the chain.
+  const std::uint64_t set_size = keys.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t index = rng.next_below(set_size);
+    fps[i] = index;
+    __builtin_prefetch(keys.data() + index);
+  }
+  // Draw, pass 2: independent loads, so their misses overlap. The keys
+  // and their order are those of a one-pass draw.
+  for (std::size_t i = 0; i < n; ++i) fps[i] = keys[fps[i]];
+  if (stamps != nullptr) stamps[0] = sim::monotonic_ns();
+  map.locate_many(fps, results);
+  if (stamps != nullptr) stamps[1] = sim::monotonic_ns();
+  // Each answer folds from a zero chain, independently of the others (so
+  // the folds pipeline instead of forming one serial chain), and the
+  // batch's sum takes one step of the reader's chain.
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) sum += fold_result(0, fps[i], results[i]);
+  digest = hash::mix64(digest ^ sum);
+  if (stamps != nullptr) stamps[2] = sim::monotonic_ns();
+  return digest;
+}
 
 LookupService::LookupService(ServeConfig config)
     : config_(std::move(config)),
@@ -137,27 +169,39 @@ void LookupService::stop() {
   ServeResult& r = result_;
   r.threads = config_.threads;
   r.seconds = sim::ns_to_seconds(serve_begin_ns_, end_ns);
-  // One exactly-sized merge of the per-batch timings; each reader's
-  // vector is released as soon as it is merged, and both percentiles
-  // select in place, so at most two copies of the timings ever coexist.
-  std::size_t timed_batches = 0;
-  for (const auto& reader : readers_) timed_batches += reader->batch_ns.size();
+  // Merge the readers' timing samples at their largest stride, so a
+  // faster reader's batches weigh no more than a slower one's; both
+  // percentiles select in place.
+  std::uint64_t stride = 1;
+  std::size_t kept = 0;
+  for (const auto& reader : readers_) {
+    stride = std::max(stride, reader->batch_ns->stride());
+    kept += reader->batch_ns->kept().size();
+  }
   std::vector<double> all_batch_ns;
-  all_batch_ns.reserve(timed_batches);
+  all_batch_ns.reserve(kept);
   for (const auto& reader : readers_) {
     r.lookups += reader->lookups.load(std::memory_order_relaxed);
     r.digest ^= reader->digest;
     r.samples += reader->samples.size();
     r.latency_ns.merge(reader->latency_ns);
-    all_batch_ns.insert(all_batch_ns.end(), reader->batch_ns.begin(),
-                        reader->batch_ns.end());
-    std::vector<double>().swap(reader->batch_ns);
+    reader->batch_ns->append_at_stride(stride, all_batch_ns);
+    r.phases.batches += reader->phases.batches;
+    r.phases.ns += reader->phases.ns;
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      r.phases.phase_ns[p] += reader->phases.phase_ns[p];
+    }
   }
   r.lookups_per_second =
       r.seconds > 0.0 ? static_cast<double>(r.lookups) / r.seconds : 0.0;
   r.mean_ns = r.latency_ns.mean();
   r.p50_ns = metrics::percentile_in_place(all_batch_ns, 0.50);
   r.p99_ns = metrics::percentile_in_place(all_batch_ns, 0.99);
+  const double timed_lookups =
+      static_cast<double>(r.phases.batches) * config_.batch_size;
+  for (std::size_t p = 0; p < kPhaseCount && timed_lookups > 0.0; ++p) {
+    r.phase_ns[p] = static_cast<double>(r.phases.phase_ns[p]) / timed_lookups;
+  }
   r.ops_applied = ops_.size();
   r.snapshots_published = store_.published();
   r.snapshots_freed = store_.freed();
@@ -363,30 +407,45 @@ void LookupService::reader_loop(std::size_t idx) {
   const std::uint32_t batch = config_.batch_size;
   const std::uint64_t sample_mask =
       (std::uint64_t{1} << config_.sample_every_batches_log2) - 1;
-  // Cap the raw per-batch timing sample (the histogram keeps counting
-  // past it); 1M batches of timing resolve p99 far beyond what the
-  // log-bucketed histogram could. Reserved whole once: the pages only
-  // become resident as batches write them, and the vector never regrows.
-  constexpr std::size_t kMaxTimedBatches = std::size_t{1} << 20;
-  r.batch_ns.reserve(kMaxTimedBatches);
+  // 2^16 batch timings resolve p99 with hundreds of batches beyond it;
+  // past that the reservoir thins its sample (the histogram still
+  // counts every batch), so faster readers need no more memory.
+  constexpr std::size_t kTimedBatches = std::size_t{1} << 16;
+  r.batch_ns.emplace(kTimedBatches);
+  // Clock reads of a phase-timed batch: t0, then after the pin, the
+  // draw, the locate and the fold, then t1. Consecutive differences are
+  // the phases, so they tile [t0, t1].
+  std::array<std::uint64_t, kPhaseCount + 1> stamps{};
 
   while (!stop_.load(std::memory_order_relaxed)) {
+    // The last batch of every 2^k records a sample and is timed phase by
+    // phase. The reservoir keeps batches at multiples of its stride, so
+    // once that reaches 2^k, p50/p99 carry none of these extra clock
+    // reads and sample checks.
+    const bool phased = (r.batch_count & sample_mask) == sample_mask;
     const std::uint64_t t0 = sim::monotonic_ns();
     const Snapshot* snap = store_.acquire(idx);
-    run_batch(r, snap->map, batch);
-    if ((r.batch_count & sample_mask) == 0 &&
-        r.samples.size() < config_.max_samples_per_reader) {
+    if (phased) stamps[1] = sim::monotonic_ns();
+    run_batch(r, snap->map, batch, phased ? &stamps[2] : nullptr);
+    if (phased && r.samples.size() < config_.max_samples_per_reader) {
       record_sample(r, *snap);
     }
     store_.release(idx);
     const std::uint64_t t1 = sim::monotonic_ns();
 
+    if (phased) {
+      stamps[0] = t0;
+      stamps[kPhaseCount] = t1;
+      for (std::size_t p = 0; p < kPhaseCount; ++p) {
+        r.phases.phase_ns[p] += stamps[p + 1] - stamps[p];
+      }
+      r.phases.ns += t1 - t0;
+      ++r.phases.batches;
+    }
     const double per_lookup_ns =
         static_cast<double>(t1 - t0) / static_cast<double>(batch);
     r.latency_ns.record(per_lookup_ns);
-    if (r.batch_ns.size() < kMaxTimedBatches) {
-      r.batch_ns.push_back(per_lookup_ns);
-    }
+    r.batch_ns->push(per_lookup_ns);
     ++r.batch_count;
     // Single-writer relaxed publication for live_stats().
     r.lookups.store(r.lookups.load(std::memory_order_relaxed) + batch,
@@ -396,25 +455,11 @@ void LookupService::reader_loop(std::size_t idx) {
 }
 
 void LookupService::run_batch(ReaderState& r, const core::PlacementMap& map,
-                              std::uint32_t n) {
-  // Draw the whole batch, calculate it with one batched sweep, then fold
-  // it: each answer folds from a zero chain, independently of the others
-  // (so the folds pipeline instead of forming one serial chain), and the
-  // batch's sum takes one step of the reader's mix64 chain. Staging is
-  // preallocated at batch_size in the ReaderState constructor.
-  const std::uint64_t set_size = fingerprints_.size();
-  std::uint64_t* fps = r.batch_fps.data();
-  core::LocateResult* results = r.batch_results.data();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    fps[i] = fingerprints_[r.rng.next_below(set_size)];
-  }
-  map.locate_many(std::span<const std::uint64_t>(fps, n),
-                  std::span<core::LocateResult>(results, n));
-  std::uint64_t sum = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sum += fold_result(0, fps[i], results[i]);
-  }
-  r.digest = hash::mix64(r.digest ^ sum);
+                              std::uint32_t n, std::uint64_t* stamps) {
+  // Staging is preallocated at batch_size in the ReaderState constructor.
+  r.digest = serve_batch(
+      map, fingerprints_, r.rng, std::span(r.batch_fps.data(), n),
+      std::span(r.batch_results.data(), n), r.digest, stamps);
 }
 
 void LookupService::record_sample(ReaderState& r, const Snapshot& snap) {
@@ -518,6 +563,10 @@ void LookupService::harvest(const ServeResult& result,
   registry.gauge("serve_lookup_mean_ns").set(result.mean_ns);
   registry.gauge("serve_lookup_p50_ns").set(result.p50_ns);
   registry.gauge("serve_lookup_p99_ns").set(result.p99_ns);
+  for (std::size_t p = 0; p < kPhaseCount; ++p) {
+    registry.gauge("serve_phase_" + std::string(kPhaseNames[p]) + "_ns")
+        .set(result.phase_ns[p]);
+  }
   registry
       .histogram("serve_lookup_latency_ns", result.latency_ns.base(),
                  result.latency_ns.buckets().size())

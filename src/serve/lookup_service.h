@@ -25,16 +25,25 @@
 //    sequential derivation at the same generation. Concurrency may
 //    change timing and throughput, never an answer.
 //
-// Readers draw fingerprints from a shared immutable working set, batch
-// their lookups under one epoch pin (run_batch is the ANUFS_HOT loop;
-// rule H1 statically forbids it from allocating, throwing, locking, or
-// sleeping), and keep single-writer relaxed-atomic counters so
-// live_stats() can be harvested from any thread mid-serve.
+// Readers draw fingerprints from a shared immutable working set in two
+// passes (the RNG chain writes indices and prefetches their keys, then
+// independent loads fetch them), batch their lookups under one epoch pin
+// (serve_batch is the ANUFS_HOT kernel; rule H1 statically forbids it
+// from allocating, throwing, locking, or sleeping), and keep
+// single-writer relaxed-atomic counters so live_stats() can be harvested
+// from any thread mid-serve. Every batch is timed; p50/p99 come from a
+// bounded strided sample of those timings (serve/timing_reservoir.h),
+// and the last batch of every 2^k is also timed phase by phase (pin,
+// draw, locate, fold, release), the phases tiling the batch's interval.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +53,7 @@
 #include "fault/fault_plan.h"
 #include "obs/metrics_registry.h"
 #include "serve/snapshot.h"
+#include "serve/timing_reservoir.h"
 #include "sim/random.h"
 #include "sim/thread_pool.h"
 
@@ -79,9 +89,11 @@ struct ServeConfig {
   std::uint32_t batch_size = 256;  ///< lookups per epoch pin
   /// With seconds == 0: each reader runs at least this many batches.
   std::uint64_t min_batches = 64;
-  /// Record one sample every 2^k batches per reader (k = this; the
-  /// sample is the batch's last served answer, validated inline against
-  /// the pinned snapshot's scalar locate when validate_inline is set).
+  /// Record one sample every 2^k batches per reader (k = this), from
+  /// the last batch of each 2^k: the batch's last served answer,
+  /// validated inline against the pinned snapshot's scalar locate when
+  /// validate_inline is set. The same batches are timed phase by phase,
+  /// also after max_samples_per_reader stops the recording.
   std::uint32_t sample_every_batches_log2 = 2;
   std::size_t max_samples_per_reader = 4096;
   bool validate_inline = true;
@@ -107,6 +119,22 @@ struct WriterOp {
   std::uint64_t generation_after = 0;       ///< map generation post-op
 };
 
+/// The phases of one reader batch, in the order they run: epoch pin
+/// (acquire), key draw, locate_many sweep, answer fold, and release
+/// (plus the sample on batches that record one).
+inline constexpr std::size_t kPhaseCount = 5;
+inline constexpr std::array<std::string_view, kPhaseCount> kPhaseNames = {
+    "pin", "draw", "locate", "fold", "release"};
+
+/// Integer-ns totals over the phase-timed batches. The phases split each
+/// timed batch's [t0, t1] with no gap, so `phase_ns` sums to `ns`
+/// exactly.
+struct PhaseTotals {
+  std::uint64_t batches = 0;  ///< batches timed phase by phase
+  std::uint64_t ns = 0;       ///< their summed t1 - t0
+  std::array<std::uint64_t, kPhaseCount> phase_ns{};
+};
+
 /// Any-thread snapshot of serving progress (single-writer atomics).
 struct LiveStats {
   std::uint64_t lookups = 0;
@@ -120,7 +148,10 @@ struct ServeResult {
   double lookups_per_second = 0.0;
   /// Always zero; held for benchmark/ until ROADMAP item 1 deletes it.
   core::PlacementCache::Stats cache;
-  /// Per-lookup latency derived from per-batch timing (ns).
+  /// Per-lookup latency derived from per-batch timing (ns): the mean
+  /// over every batch; p50/p99 over a bounded strided sample of the
+  /// batches (each reader's TimingReservoir, merged at the readers'
+  /// largest stride so every batch weighs alike).
   double mean_ns = 0.0;
   double p50_ns = 0.0;
   double p99_ns = 0.0;
@@ -138,6 +169,10 @@ struct ServeResult {
   /// so neither the readers' interleaving nor in-batch order moves it.
   std::uint64_t digest = 0;
   std::size_t samples = 0;
+  /// In-situ phase timings, summed over readers, and each phase's mean
+  /// ns per lookup of the timed batches (kPhaseNames order).
+  PhaseTotals phases;
+  std::array<double, kPhaseCount> phase_ns{};
 };
 
 /// check_equivalence() verdict. ok() is the serving-mode correctness
@@ -156,6 +191,26 @@ struct EquivalenceReport {
     return mismatches == 0 && unmatched_generation == 0;
   }
 };
+
+/// The reader batch kernel, shared by LookupService::run_batch and the
+/// micro-benchmark so the two cannot drift: draw fps.size() keys from
+/// `keys` along `rng` in two passes (the RNG chain writes each index
+/// into `fps` and prefetches its key; independent loads then replace
+/// the indices with the keys, so the misses overlap), resolve them with
+/// one map.locate_many sweep into `results` (each answer bit-identical
+/// to map.locate), and fold the answers into `digest`: each answer
+/// folds from a zero chain, and the batch's sum takes one mix64 step.
+/// Returns the advanced digest. With `stamps` non-null, the clock is
+/// read after the draw, the locate and the fold (stamps[0..2]).
+/// Allocation/lock/sleep-free by rule H1 (tools/anufs_lint.py walks its
+/// call graph).
+ANUFS_HOT std::uint64_t serve_batch(const core::PlacementMap& map,
+                                    std::span<const std::uint64_t> keys,
+                                    sim::Xoshiro256& rng,
+                                    std::span<std::uint64_t> fps,
+                                    std::span<core::LocateResult> results,
+                                    std::uint64_t digest,
+                                    std::uint64_t* stamps);
 
 class LookupService {
  public:
@@ -208,28 +263,28 @@ class LookupService {
         : rng(stream_seed), batch_fps(batch_size), batch_results(batch_size) {}
     sim::Xoshiro256 rng;
     /// run_batch staging, preallocated so the hot path never allocates
-    /// (H1): the batch's drawn fingerprints and their batched answers.
+    /// (H1): the batch's drawn fingerprints (key indices between the
+    /// draw's two passes) and their batched answers.
     std::vector<std::uint64_t> batch_fps;
     std::vector<core::LocateResult> batch_results;
     std::uint64_t digest = 0;
     std::uint64_t batch_count = 0;
     std::vector<Sample> samples;          ///< reader-confined until join
-    std::vector<double> batch_ns;  ///< per-lookup ns, one per batch
-    obs::Histogram latency_ns{1.0, 40};   ///< same values, mergeable form
+    /// Per-lookup ns of a strided sample of the batches; emplaced by
+    /// reader_loop so construction allocates none of it.
+    std::optional<TimingReservoir> batch_ns;
+    obs::Histogram latency_ns{1.0, 40};   ///< every batch, mergeable form
+    PhaseTotals phases;                   ///< reader-confined until join
     std::atomic<std::uint64_t> lookups{0};   ///< single-writer, any-reader
     std::atomic<std::uint64_t> batches{0};   ///< single-writer, any-reader
   };
 
   void writer_loop();
   void reader_loop(std::size_t idx);
-  /// The serving hot path: `n` lookups calculated against the pinned
-  /// snapshot's map — drawn into preallocated staging, resolved with one
-  /// map.locate_many sweep (each answer bit-identical to map.locate),
-  /// then folded into the digest by independent per-answer hashes.
-  /// Allocation/lock/sleep-free by rule H1 (tools/anufs_lint.py walks
-  /// its call graph).
+  /// The serving hot path: serve_batch over the reader's preallocated
+  /// staging, its RNG and its digest chain (`stamps` as there).
   ANUFS_HOT void run_batch(ReaderState& r, const core::PlacementMap& map,
-                           std::uint32_t n);
+                           std::uint32_t n, std::uint64_t* stamps);
   /// Off the hot path: record the batch's last served answer for replay
   /// (no extra lookup), checked inline against the scalar locate.
   ANUFS_COLD void record_sample(ReaderState& r, const Snapshot& snap);

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "core/anu_system.h"
 #include "core/placement.h"
 #include "fault/fault_plan.h"
 #include "serve/lookup_service.h"
+#include "sim/random.h"
 
 namespace anufs::serve {
 namespace {
@@ -111,6 +113,35 @@ TEST(ServeEquivalenceTest, PortableKernelServesIdenticalAnswers) {
   const EquivalenceReport eq = service.check_equivalence();
   EXPECT_TRUE(eq.ok());
   EXPECT_GT(eq.samples_checked, 0u);
+}
+
+// The two-pass draw must serve the keys, in the order, that one pass of
+// fingerprints_[rng.next_below(n)] would: with every batch sampled, the
+// sample of batch b is draw 256·b + 255 of the reader's own stream.
+TEST(ServeEquivalenceTest, ServedKeysFollowTheReaderStream) {
+  ServeConfig config = property_config(/*seed=*/17);
+  config.threads = 1;
+  config.writer_ops = 16;
+  config.batch_size = 256;
+  config.max_samples_per_reader = 512;
+  LookupService service(config);
+  (void)service.run();
+
+  std::vector<std::uint64_t> working_set;
+  sim::Xoshiro256 fps = sim::make_stream(config.seed, "serve/filesets");
+  for (std::uint32_t i = 0; i < config.file_sets; ++i) {
+    working_set.push_back(fps());
+  }
+  sim::Xoshiro256 draws(sim::derive_seed(config.seed, "serve/reader", 0));
+  const std::vector<Sample> samples = service.all_samples();
+  ASSERT_GE(samples.size(), config.min_batches);
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    std::uint64_t key = 0;
+    for (std::uint32_t i = 0; i < config.batch_size; ++i) {
+      key = working_set[draws.next_below(working_set.size())];
+    }
+    ASSERT_EQ(samples[b].fingerprint, key) << "batch " << b;
+  }
 }
 
 TEST(ServeEquivalenceTest, FaultPlanMembershipEventsEnterTheOpLog) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 
 #include "core/anu_system.h"
@@ -117,6 +118,56 @@ TEST(ServeHarvestTest, HarvestFillsRegistryDeterministically) {
       registry.histograms().at("serve_lookup_latency_ns");
   EXPECT_EQ(h.count(), result.latency_ns.count());
   EXPECT_EQ(h.sum(), result.latency_ns.sum());
+}
+
+// The phases tile each phase-timed batch, so their integer totals add up
+// to the timed batches' total exactly, and harvest publishes each
+// phase's per-lookup mean.
+TEST(ServeHarvestTest, PhaseTimingsAddUpExactlyAndAreHarvested) {
+  ServeConfig config;
+  config.threads = 2;
+  config.seconds = 0.0;
+  config.writer_ops = 40;
+  config.writer_ops_per_second = 0.0;
+  config.seed = 8;
+  config.n_servers = 6;
+  config.file_sets = 4096;
+  config.batch_size = 64;
+  config.min_batches = 64;
+  config.sample_every_batches_log2 = 1;
+  config.max_samples_per_reader = 4;  // phase timing outlives sampling
+  LookupService service(config);
+  const ServeResult result = service.run();
+
+  const PhaseTotals& phases = result.phases;
+  const LiveStats live = service.live_stats();
+  // Every other batch of each reader, counting from its second.
+  EXPECT_GE(phases.batches, config.threads * config.min_batches / 2);
+  EXPECT_LE(phases.batches, live.batches / 2);
+  std::uint64_t sum = 0;
+  for (std::size_t p = 0; p < kPhaseCount; ++p) sum += phases.phase_ns[p];
+  EXPECT_EQ(sum, phases.ns);
+  for (std::size_t p = 0; p + 1 < kPhaseCount; ++p) {
+    EXPECT_GT(phases.phase_ns[p], 0u) << kPhaseNames[p];
+    EXPECT_GT(result.phase_ns[p], 0.0) << kPhaseNames[p];
+  }
+  double mean_sum = 0.0;
+  for (const double ns : result.phase_ns) mean_sum += ns;
+  EXPECT_NEAR(mean_sum,
+              static_cast<double>(phases.ns) /
+                  static_cast<double>(phases.batches * config.batch_size),
+              1e-9 * mean_sum);
+  // Phase timing adds no lookup.
+  EXPECT_EQ(result.lookups, live.batches * config.batch_size);
+
+  obs::Registry registry;
+  LookupService::harvest(result, registry);
+  for (std::size_t p = 0; p < kPhaseCount; ++p) {
+    const std::string name =
+        "serve_phase_" + std::string(kPhaseNames[p]) + "_ns";
+    ASSERT_EQ(registry.gauges().count(name), 1u) << name;
+    EXPECT_EQ(registry.gauges().at(name).value(), result.phase_ns[p]);
+  }
 }
 
 TEST(ServeHarvestTest, HistogramMergePreservesEveryBucket) {

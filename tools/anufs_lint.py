@@ -426,9 +426,10 @@ H1_BANNED = [
     (re.compile(r"\.\s*assign\s*\("), ".assign"),
     (re.compile(r"\.\s*at\s*\("), ".at (throws)"),
     # Blocking calls: a hot path that can park its thread is not a hot
-    # path. The serving-mode reader loop (serve::LookupService::run_batch)
-    # is the motivating obligation — readers must never block on the
-    # control plane, and these patterns are how that promise would break.
+    # path. The serving-mode reader batch (serve::serve_batch, called by
+    # LookupService::run_batch) is the motivating obligation — readers
+    # must never block on the control plane, and these patterns are how
+    # that promise would break.
     (re.compile(r"\.\s*lock\s*\("), ".lock (blocks)"),
     (re.compile(r"\bstd\s*::\s*lock_guard\s*<"), "std::lock_guard (blocks)"),
     (re.compile(r"\bstd\s*::\s*unique_lock\s*<"), "std::unique_lock (blocks)"),

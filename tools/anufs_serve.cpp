@@ -23,6 +23,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/line_reader.h"
 #include "fault/fault_plan.h"
@@ -141,6 +142,18 @@ int main(int argc, char** argv) {
         "  latency/lookup: mean %.1f ns, p50 %.1f ns, p99 %.1f ns "
         "(per-batch timing, batch %u)\n",
         result.mean_ns, result.p50_ns, result.p99_ns, batch);
+    // The last batch of every 2^k is timed phase by phase; the phases
+    // tile those batches, so the five means add up to their per-lookup
+    // time.
+    std::printf("  phases:");
+    for (std::size_t p = 0; p < anufs::serve::kPhaseCount; ++p) {
+      const std::string_view name = anufs::serve::kPhaseNames[p];
+      std::printf("%s %.*s %.2f ns", p == 0 ? "" : ",",
+                  static_cast<int>(name.size()), name.data(),
+                  result.phase_ns[p]);
+    }
+    std::printf(" per lookup (%llu timed batches)\n",
+                static_cast<unsigned long long>(result.phases.batches));
     std::printf(
         "  snapshots: %llu published, %llu freed, %zu pending; "
         "%zu samples recorded; digest %016llx\n",
