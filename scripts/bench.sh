@@ -25,7 +25,10 @@
 #   ./scripts/bench.sh --batch                  # re-measure only the locate
 #                                               # group (BM_LocateBatch,
 #                                               # BM_LocateBatchCached,
-#                                               # BM_ServeLocateBatch + their
+#                                               # BM_ServeLocateBatch in
+#                                               # serve-hot's shape and
+#                                               # BM_ServeLocateBatchCold in
+#                                               # serve-cold's + their
 #                                               # scalar baselines and
 #                                               # BM_LocateCacheMiss) and
 #                                               # merge it as the `batch`
@@ -202,7 +205,8 @@ JQ_BATCH='
     serve_locate_batch_per_elem_ns: {
       "1":   ($bench["BM_ServeLocateBatch/1"].time_ns / 1),
       "64":  ($bench["BM_ServeLocateBatch/64"].time_ns / 64),
-      "256": ($bench["BM_ServeLocateBatch/256"].time_ns / 256)
+      "256": ($bench["BM_ServeLocateBatch/256"].time_ns / 256),
+      cold_256: ($bench["BM_ServeLocateBatchCold/256"].time_ns / 256)
     },
     scalar_locate_uncached_ns_64: $bench["BM_LocateUncached/64"].time_ns,
     scalar_serve_locate_per_elem_ns_64:

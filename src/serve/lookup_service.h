@@ -164,9 +164,12 @@ struct ServeResult {
   std::uint64_t snapshots_freed = 0;
   std::size_t snapshots_pending = 0;  ///< retired, not yet reclaimed
   std::uint64_t final_generation = 0;
-  /// Fold of every served answer: per-batch sums of independent answer
-  /// folds, chained per reader through mix64 and XORed across readers,
-  /// so neither the readers' interleaving nor in-batch order moves it.
+  /// Fold of every field of every served answer: each batch's two word
+  /// sums (fingerprint ^ position; server | probes << 32 | fallback <<
+  /// 63) take one mix64 chain step per reader, and the readers' chains
+  /// XOR together, so neither the readers' interleaving nor in-batch
+  /// order moves it. A checksum of served work, printed by anufs_serve;
+  /// answers are proven by the sample checks, not by this.
   std::uint64_t digest = 0;
   std::size_t samples = 0;
   /// In-situ phase timings, summed over readers, and each phase's mean
@@ -194,14 +197,16 @@ struct EquivalenceReport {
 
 /// The reader batch kernel, shared by LookupService::run_batch and the
 /// micro-benchmark so the two cannot drift: draw fps.size() keys from
-/// `keys` along `rng` in two passes (the RNG chain writes each index
+/// `keys` along `rng` in two passes (the RNG chain, run on a register
+/// copy of `rng` that is written back afterwards, writes each index
 /// into `fps` and prefetches its key; independent loads then replace
 /// the indices with the keys, so the misses overlap), resolve them with
 /// one map.locate_many sweep into `results` (each answer bit-identical
-/// to map.locate), and fold the answers into `digest`: each answer
-/// folds from a zero chain, and the batch's sum takes one mix64 step.
-/// Returns the advanced digest. With `stamps` non-null, the clock is
-/// read after the draw, the locate and the fold (stamps[0..2]).
+/// to map.locate), and fold the answers into `digest`: two word sums
+/// over the batch, then one mix64 chain step over both (see
+/// ServeResult::digest). Returns the advanced digest. With `stamps`
+/// non-null, the clock is read after the draw, the locate and the fold
+/// (stamps[0..2]).
 /// Allocation/lock/sleep-free by rule H1 (tools/anufs_lint.py walks its
 /// call graph).
 ANUFS_HOT std::uint64_t serve_batch(const core::PlacementMap& map,

@@ -2,24 +2,6 @@
 
 namespace anufs::sim {
 
-std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
-  // Lemire, "Fast random integer generation in an interval" (2019).
-  // Multiply-shift with a rejection step confined to the biased band.
-  if (bound == 0) return 0;
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::uint64_t derive_seed(std::uint64_t master, std::string_view component,
                           std::uint64_t index) {
   // FNV-1a over the component name, then fold in the index and master

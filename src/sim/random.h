@@ -57,8 +57,25 @@ class Xoshiro256 {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t next_below(std::uint64_t bound);
+  /// Uniform integer in [0, bound) without modulo bias: Lemire, "Fast
+  /// random integer generation in an interval" (2019). Multiply-shift
+  /// with a rejection step confined to the biased band. Inline so a
+  /// caller drawing from a local copy keeps the state in registers.
+  std::uint64_t next_below(std::uint64_t bound) {
+    if (bound == 0) return 0;
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

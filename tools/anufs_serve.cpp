@@ -36,15 +36,15 @@ namespace {
 void usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --threads N        reader threads (default 4)\n"
+      << "  --threads N        reader threads, >= 1 (default 4)\n"
       << "  --seconds S        serving window in wall seconds (default 1;\n"
       << "                     0 = run until --ops is exhausted)\n"
       << "  --ops N            control-plane op budget (default 0 =\n"
       << "                     unlimited churn for the window)\n"
       << "  --ops-per-second R control-plane rate (default 200; 0 = max)\n"
-      << "  --servers N        initial server count (default 16)\n"
-      << "  --file-sets N      fingerprint working set (default 4096)\n"
-      << "  --batch N          lookups per epoch pin (default 256)\n"
+      << "  --servers N        initial server count, >= 2 (default 16)\n"
+      << "  --file-sets N      fingerprint working set, >= 1 (default 4096)\n"
+      << "  --batch N          lookups per epoch pin, >= 1 (default 256)\n"
       << "  --seed S           master seed (default 42)\n"
       << "  --faults PATH      fold a fault plan's membership events\n"
       << "                     into the churn schedule\n"
@@ -57,6 +57,15 @@ void usage(const char* argv0) {
 std::optional<double> non_negative(const std::string& text) {
   const std::optional<double> v = anufs::to_double(text);
   return v.has_value() && *v >= 0.0 ? v : std::nullopt;
+}
+
+// A 32-bit count of at least `floor`: the sizes LookupService requires
+// (one reader, one lookup per batch, one file set, two servers).
+auto count_at_least(std::uint32_t floor) {
+  return [floor](const std::string& text) -> std::optional<std::uint32_t> {
+    const std::optional<std::uint32_t> v = anufs::to_u32(text);
+    return v.has_value() && *v >= floor ? v : std::nullopt;
+  };
 }
 
 }  // namespace
@@ -87,7 +96,7 @@ int main(int argc, char** argv) {
       return *v;
     };
     if (arg == "--threads") {
-      config.threads = value(anufs::to_u32);
+      config.threads = value(count_at_least(1));
     } else if (arg == "--seconds") {
       config.seconds = value(non_negative);
     } else if (arg == "--ops") {
@@ -95,11 +104,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--ops-per-second") {
       config.writer_ops_per_second = value(non_negative);
     } else if (arg == "--servers") {
-      config.n_servers = value(anufs::to_u32);
+      config.n_servers = value(count_at_least(2));
     } else if (arg == "--file-sets") {
-      config.file_sets = value(anufs::to_u32);
+      config.file_sets = value(count_at_least(1));
     } else if (arg == "--batch") {
-      config.batch_size = value(anufs::to_u32);
+      config.batch_size = value(count_at_least(1));
     } else if (arg == "--seed") {
       config.seed = value(anufs::to_u64);
     } else if (arg == "--faults") {
