@@ -126,7 +126,7 @@ void BM_LocateBatch(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
 }
-BENCHMARK(BM_LocateBatch)->Arg(1)->Arg(8)->Arg(64)->Arg(1024);
+BENCHMARK(BM_LocateBatch)->Arg(1)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 // Batched cached addressing (PlacementCache::locate_many): steady state
 // is one classification pass of pure hits, so this bounds the batch

@@ -60,10 +60,15 @@
 # The sweep scenario is fixed (synthetic workload, 5 heterogeneous
 # servers, membership churn, 30 seeds, --jobs 1) so successive snapshots
 # are comparable; the engine's events/sec line printed by anufs_sim is
-# captured as a cross-check. Numbers are machine-dependent: compare
+# captured as a cross-check. Every micro benchmark runs 5 times
+# (--benchmark_repetitions; 3 under --quick) and the file records the
+# median, since single runs of one benchmark spread by up to ~50% on a
+# shared host. Numbers are machine-dependent: compare
 # trajectories recorded on the same machine. Every mode, merges
 # included, rewrites `commit` and `host` ({uname, cores, isa}), so the
-# file always names the one host its newest numbers came from.
+# file always names the one host its newest numbers came from, and the
+# commit carries a "-dirty" suffix when the working tree differed from
+# it.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -79,6 +84,7 @@ HOST_JSON="$(jq -cn --arg uname "$(uname -sr)" \
 OUT="$ROOT/BENCH_core.json"
 BASELINE_BIN=""
 MIN_TIME=0.5
+REPS=5
 SWEEP="seed=1..30"
 CONTROL_ONLY=0
 BATCH_ONLY=0
@@ -88,7 +94,7 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --out) OUT="$2"; shift 2 ;;
     --baseline-bin) BASELINE_BIN="$2"; shift 2 ;;
-    --quick) MIN_TIME=0.05; SWEEP="seed=1..5"; shift ;;
+    --quick) MIN_TIME=0.05; REPS=3; SWEEP="seed=1..5"; shift ;;
     --control-plane) CONTROL_ONLY=1; shift ;;
     --batch) BATCH_ONLY=1; shift ;;
     --policies) POLICIES_ONLY=1; shift ;;
@@ -96,6 +102,30 @@ while [ $# -gt 0 ]; do
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+
+# The commit the numbers come from, "-dirty" when the working tree
+# (untracked files included) differs from it.
+commit_stamp() {
+  local commit
+  if ! commit="$(git rev-parse --short HEAD 2>/dev/null)"; then
+    echo unknown
+    return
+  fi
+  if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    commit="$commit-dirty"
+  fi
+  echo "$commit"
+}
+
+# Runs micro_core ($1) with the recorded repetitions; extra arguments
+# pass through. Only the per-benchmark aggregates are reported.
+run_micro() {
+  local micro="$1"
+  shift
+  "$micro" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
+    --benchmark_repetitions="$REPS" --benchmark_report_aggregates_only=true \
+    "$@"
+}
 
 # The merge modes below re-measure one group of micro_core benchmarks:
 # build micro_core, run the benchmarks matching $2 into $MICRO_JSON, and
@@ -107,13 +137,23 @@ measure_group() {
     -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}" \
     --target micro_core >/dev/null
   MICRO="$ROOT/build/bench/micro_core"
-  echo "== micro ($1 group): $MICRO (min_time=${MIN_TIME}s)"
+  echo "== micro ($1 group): $MICRO (min_time=${MIN_TIME}s, median of $REPS)"
   MICRO_JSON="$(mktemp)"
-  "$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    --benchmark_filter="$2" >"$MICRO_JSON" 2>/dev/null
+  run_micro "$MICRO" --benchmark_filter="$2" >"$MICRO_JSON" 2>/dev/null
   BASE='{"schema":"anufs-bench-v1"}'
   if [ -f "$OUT" ]; then BASE="$(cat "$OUT")"; fi
 }
+
+# jq head of every fragment below: the google-benchmark JSON's median
+# aggregates -> a map keyed by benchmark name.
+JQ_MEDIANS='
+  ($micro[0].benchmarks
+     | map(select(.aggregate_name == "median")
+           | {(.run_name): {time_ns: .real_time,
+                            cpu_ns: .cpu_time,
+                            hit_rate: (.hit_rate // null)}})
+     | add) as $bench |
+'
 
 # jq fragment shared by both modes: google-benchmark JSON -> name-keyed
 # map, plus the control-plane summary group. BM_Retune is one tuning
@@ -121,11 +161,7 @@ measure_group() {
 # the servers should cost no more than ~8x). BM_CloseRound is one
 # report-collection round with padding; its 4096/1024 ratio is the
 # same check (4x the members, ~4x the time).
-JQ_BENCH='
-  ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
-                                         cpu_ns: .cpu_time,
-                                         hit_rate: (.hit_rate // null)}})
-     | add) as $bench |
+JQ_BENCH="$JQ_MEDIANS"'
   {
     retune_ns: {
       "64":   $bench["BM_Retune/64"].time_ns,
@@ -161,7 +197,7 @@ if [ "$CONTROL_ONLY" -eq 1 ]; then
     --slurpfile micro "$MICRO_JSON" \
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --arg commit "$(commit_stamp)" \
     --argjson host "$HOST_JSON" \
     "$JQ_BENCH"'
     # The re-measured group replaces its old entries outright (`*`
@@ -184,16 +220,13 @@ fi
 # benchmark's real_time is per whole batch) plus the headline speedup —
 # uncached batch/64 against the scalar uncached probe chain at the same
 # 64-server cluster. The acceptance bar for the batched path is >= 4x.
-JQ_BATCH='
-  ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
-                                         cpu_ns: .cpu_time,
-                                         hit_rate: (.hit_rate // null)}})
-     | add) as $bench |
+JQ_BATCH="$JQ_MEDIANS"'
   {
     locate_batch_per_elem_ns: {
       "1":    ($bench["BM_LocateBatch/1"].time_ns / 1),
       "8":    ($bench["BM_LocateBatch/8"].time_ns / 8),
       "64":   ($bench["BM_LocateBatch/64"].time_ns / 64),
+      "256":  ($bench["BM_LocateBatch/256"].time_ns / 256),
       "1024": ($bench["BM_LocateBatch/1024"].time_ns / 1024)
     },
     locate_batch_cached_per_elem_ns: {
@@ -226,13 +259,9 @@ if [ "$BATCH_ONLY" -eq 1 ]; then
     --slurpfile micro "$MICRO_JSON" \
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --arg commit "$(commit_stamp)" \
     --argjson host "$HOST_JSON" \
     "$JQ_BATCH"'
-    ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
-                                           cpu_ns: .cpu_time,
-                                           hit_rate: (.hit_rate // null)}})
-       | add) as $bench |
     ($base.micro // {}
        | with_entries(select(.key | test("^BM_(Locate|ServeLocate)")
                                | not))) as $kept |
@@ -257,11 +286,7 @@ fi
 # 500 / 50k / 1M file sets. choose() is the per-placement inner loop, so
 # it carries the latency budget; the rebalance rounds are control-plane
 # work and only need to stay far under the reconfiguration period.
-JQ_POLICIES='
-  ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
-                                         cpu_ns: .cpu_time,
-                                         hit_rate: (.hit_rate // null)}})
-     | add) as $bench |
+JQ_POLICIES="$JQ_MEDIANS"'
   {
     powd_choose_ns: {
       "5":   $bench["BM_PowDChoose/5"].time_ns,
@@ -291,7 +316,7 @@ if [ "$POLICIES_ONLY" -eq 1 ]; then
     --slurpfile micro "$MICRO_JSON" \
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --arg commit "$(commit_stamp)" \
     --argjson host "$HOST_JSON" \
     "$JQ_POLICIES"'
     $base * {
@@ -312,11 +337,7 @@ fi
 # sim-paper (Arg 0) and sim-scale (Arg 1) shapes, the DFSTrace-like
 # generator, and the arrival sort alone against the std::sort it
 # replaced, on the same generation-order streams.
-JQ_WORKLOAD='
-  ($micro[0].benchmarks | map({(.name): {time_ns: .real_time,
-                                         cpu_ns: .cpu_time,
-                                         hit_rate: (.hit_rate // null)}})
-     | add) as $bench |
+JQ_WORKLOAD="$JQ_MEDIANS"'
   {
     make_synthetic_ns: {
       paper: $bench["BM_MakeSynthetic/0"].time_ns,
@@ -347,7 +368,7 @@ if [ "$WORKLOAD_ONLY" -eq 1 ]; then
     --slurpfile micro "$MICRO_JSON" \
     --argjson base "$BASE" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+    --arg commit "$(commit_stamp)" \
     --argjson host "$HOST_JSON" \
     "$JQ_WORKLOAD"'
     $base * {
@@ -372,10 +393,9 @@ cmake --build --preset default -j "${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}
 MICRO="$ROOT/build/bench/micro_core"
 SIM="$ROOT/build/tools/anufs_sim"
 
-echo "== micro: $MICRO (min_time=${MIN_TIME}s)"
+echo "== micro: $MICRO (min_time=${MIN_TIME}s, median of $REPS)"
 MICRO_JSON="$(mktemp)"
-"$MICRO" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-  >"$MICRO_JSON" 2>/dev/null
+run_micro "$MICRO" >"$MICRO_JSON" 2>/dev/null
 
 SCENARIO="$(mktemp)"
 cat >"$SCENARIO" <<'EOF'
@@ -423,7 +443,7 @@ fi
 jq -n \
   --slurpfile micro "$MICRO_JSON" \
   --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-  --arg commit "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+  --arg commit "$(commit_stamp)" \
   --argjson host "$HOST_JSON" \
   --arg sweep "$SWEEP" \
   --arg sweep_engine "$SWEEP_ENGINE" \

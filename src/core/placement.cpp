@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 
 namespace anufs::core {
 
@@ -94,45 +95,56 @@ void PlacementMap::locate_chunk(const RegionMap::OwnerTable& table,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-// Vector body: the same round-major compacted loop, restructured so the
-// per-lane work is three compressed streams instead of struct stores.
-// Round r mixes every live lane with one vpmullq finalizer pass
-// (hash::probe_x8) and gathers only the fill column — the hit test
-// needs just fills, and the owner is recomputed from the winning
-// position in the final pass with one L1 load, which halves the gather
-// traffic (the dominant cost on every x86 core we run on). Hit lanes
-// append (original index, position, probe count) to result streams via
-// vpcompressstore — one instruction per stream per group, no per-lane
-// branching or scatter — and miss lanes compact in place for round r+1,
-// so gather work stays proportional to total probes (~2n at half
-// occupancy), not to lanes x rounds. A final scalar pass walks the
-// streams once to write each out[i]. Lane arithmetic is the exact
-// scalar recurrence (same mixer constants, shifts, unsigned compare),
-// so out[i] is bit-identical to locate(fps[i]) on all four fields.
+// Vector body: the same round-major compacted loop over a whole serving
+// batch, restructured so the per-lane work is full-width stores instead
+// of struct stores. Round r mixes every live lane with one vpmullq
+// finalizer pass (hash::probe_x8) and gathers only the fill column — the
+// hit test needs just fills, and the owner is recomputed from the
+// winning position in the final sweep with one L1 load, which halves
+// the gather traffic (the dominant cost on every x86 core we run on).
+// Miss lanes compact in place for the next pass, so gather work stays
+// proportional to total probes (~2n at half occupancy), not to lanes x
+// rounds. Lane arithmetic is the exact scalar recurrence (same mixer
+// constants, shifts, unsigned compare), so out[i] is bit-identical to
+// locate(fps[i]) on all four fields.
+//
+// Answers are staged by lane index, so out[] is written in one
+// sequential sweep instead of a scatter. The first pass visits lanes in
+// order and stores every lane's blended position and probe count
+// straight into the lane-indexed staging (a lane that missed both rounds
+// stores garbage there, which a later pass or the tail replaces). Later
+// passes see compacted lanes, so their winners append (lane index,
+// position, probe count) to compressed streams that are placed by lane
+// index once the passes end.
 //
 // In-place compaction safety: each group is loaded into registers
 // before its compressed stores, and the miss write cursor never passes
 // the group's read position, so a store only touches consumed lanes.
-// The last group of a round may be ragged; its dead lanes are masked
-// out of the gather (reading fill 0 from the zero source, never a hit)
-// and out of both compressed stores.
+// The last group of a pass may be ragged; its dead lanes are masked out
+// of the loads, the gathers and every compressed stream.
 __attribute__((target("avx512f,avx512dq,avx512vl"))) void
 PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
                               const std::vector<ServerId>& alive,
                               const std::uint64_t* fps, std::uint32_t n,
                               LocateResult* out) const {
-  // Seven lanes of tail padding: the staging stores below are full
+  // Seven lanes of tail padding: the stream stores below are full
   // 512-bit stores whose cursor is only advanced by popcount, so a store
   // issued at cursor <= kBatchLanes - 1 touches up to 7 slots past the
-  // last live entry.
+  // last live entry. The lane-indexed stores start at multiples of 8
+  // below n <= kBatchLanes (a multiple of 8), so they stay inside.
   constexpr std::uint32_t kPad = 7;
+  static_assert(kBatchLanes % 8 == 0);
   std::uint64_t live_fp[kBatchLanes + kPad];
   std::uint32_t live_ix[kBatchLanes + kPad];
   std::uint64_t pos_stream[kBatchLanes + kPad];
   std::uint64_t meta_stream[kBatchLanes + kPad];  // lane index | probes << 32
+  std::uint64_t lane_pos[kBatchLanes];
+  std::uint32_t lane_probes[kBatchLanes];
   const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(table.shift));
   const __m512i voffmask = hash::broadcast_u64(table.offset_mask);
   const __m256i viota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i vone = _mm256_set1_epi32(1);  // first-pass probe counts
+  const __m256i vtwo = _mm256_set1_epi32(2);
   std::uint32_t live = n;
   std::uint32_t found = 0;
   std::uint32_t round = 0;
@@ -141,11 +153,10 @@ PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
   // before anything is staged back to memory: the misses of round r
   // remix in-register for round r+1 (the even/odd finalizers are fixed
   // by parity, so round r is always mix64 and r+1 always mix64_v2
-  // here), which quarters the surviving set per pass and leaves only
-  // one compress-store -> reload transition for a 64-lane chunk. Once
-  // the geometric tail thins past one group, more masked rounds would
-  // serialize full mixer->gather->compare latency chains, so the
-  // survivors switch to lane-major chasing below.
+  // here), which quarters the surviving set per pass (256 -> ~64 ->
+  // ~16 -> ~4 lanes). Once the geometric tail thins past one group,
+  // more masked rounds would serialize full mixer->gather->compare
+  // latency chains, so the survivors switch to lane-major chasing below.
   for (; round + 2 <= config_.max_rounds && live > 8; round += 2) {
     const __m512i vpk_a =
         hash::broadcast_u64(static_cast<std::uint64_t>(round + 1) << 32);
@@ -153,10 +164,11 @@ PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
         hash::broadcast_u64(static_cast<std::uint64_t>(round + 2) << 32);
     const __m512i vpre_a = hash::broadcast_u64(family_.round_pre(round));
     const __m512i vpre_b = hash::broadcast_u64(family_.round_pre(round + 1));
-    // The first pass reads the caller's fingerprints in place and
-    // synthesizes lane indices; only its misses land in the staging
-    // arrays.
-    const std::uint64_t* const src_fp = round == 0 ? fps : live_fp;
+    // The first pass reads the caller's fingerprints in place,
+    // synthesizes lane indices and stages its answers by lane; only its
+    // misses land in the compacted arrays.
+    const bool first = round == 0;
+    const std::uint64_t* const src_fp = first ? fps : live_fp;
     std::uint32_t kept = 0;
     for (std::uint32_t l = 0; l < live; l += 8) {
       const __mmask8 lanes =
@@ -166,7 +178,7 @@ PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
       // unmasked load there would read past the caller's span.
       const __m512i fp = _mm512_maskz_loadu_epi64(lanes, src_fp + l);
       const __m256i ix =
-          round == 0
+          first
               ? _mm256_add_epi32(viota, _mm256_set1_epi32(static_cast<int>(l)))
               : _mm256_maskz_loadu_epi32(lanes, live_ix + l);
       // Subround a (even round): mix64 lane arithmetic.
@@ -193,30 +205,37 @@ PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
       const __m512i off_b = _mm512_and_si512(pos_b, voffmask);
       const __mmask8 hit_b = static_cast<__mmask8>(
           _mm512_cmp_epu64_mask(off_b, fills_b, _MM_CMPINT_LT) & open);
-      // hit_a and hit_b are disjoint (b only probed a's misses), so both
-      // subrounds' winners append as ONE blended compressed store each
-      // for position and for (index, probes) — the latter two pack into
-      // a single 64-bit lane, cutting the stream stores per group from
-      // six to two. Stream order within a group is irrelevant because
-      // every staged index is distinct.
-      const __mmask8 hits = static_cast<__mmask8>(hit_a | hit_b);
+      // hit_a and hit_b are disjoint (b only probed a's misses), so a
+      // lane's answer is round a's position and probe count blended with
+      // round b's where b hit.
       const __m512i pos_h = _mm512_mask_blend_epi64(hit_b, pos_a, pos_b);
-      const __m512i meta_h = _mm512_or_si512(
-          _mm512_cvtepu32_epi64(ix),
-          _mm512_mask_blend_epi64(hit_b, vpk_a, vpk_b));
-      // Compress in REGISTERS and store full width rather than using
-      // vpcompressstore: a plain store forwards and disambiguates
-      // normally against the loads of the next pass, where a masked
-      // compressed store would stall them. The lanes past the popcount
-      // are garbage, but every cursor advances by popcount only, so a
-      // later store overwrites them and no reader ever passes a cursor;
-      // the kPad slack absorbs the final store's overhang.
-      _mm512_storeu_si512(static_cast<void*>(pos_stream + found),
-                          _mm512_maskz_compress_epi64(hits, pos_h));
-      _mm512_storeu_si512(static_cast<void*>(meta_stream + found),
-                          _mm512_maskz_compress_epi64(hits, meta_h));
-      found += static_cast<std::uint32_t>(
-          __builtin_popcount(static_cast<unsigned>(hits)));
+      if (first) {
+        _mm512_storeu_si512(static_cast<void*>(lane_pos + l), pos_h);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lane_probes + l),
+                            _mm256_mask_blend_epi32(hit_b, vone, vtwo));
+      } else {
+        // Winners append as ONE compressed store each for position and
+        // for (index, probes), packed into a single 64-bit lane. Stream
+        // order within a group is irrelevant because every staged index
+        // is distinct. Compress in REGISTERS and store full width rather
+        // than using vpcompressstore: a plain store forwards and
+        // disambiguates normally against the loads of the next pass,
+        // where a masked compressed store would stall them. The lanes
+        // past the popcount are garbage, but every cursor advances by
+        // popcount only, so a later store overwrites them and no reader
+        // ever passes a cursor; the kPad slack absorbs the final
+        // store's overhang.
+        const __mmask8 hits = static_cast<__mmask8>(hit_a | hit_b);
+        const __m512i meta_h = _mm512_or_si512(
+            _mm512_cvtepu32_epi64(ix),
+            _mm512_mask_blend_epi64(hit_b, vpk_a, vpk_b));
+        _mm512_storeu_si512(static_cast<void*>(pos_stream + found),
+                            _mm512_maskz_compress_epi64(hits, pos_h));
+        _mm512_storeu_si512(static_cast<void*>(meta_stream + found),
+                            _mm512_maskz_compress_epi64(hits, meta_h));
+        found += static_cast<std::uint32_t>(
+            __builtin_popcount(static_cast<unsigned>(hits)));
+      }
       const __mmask8 miss = static_cast<__mmask8>(open & ~hit_b);
       _mm512_storeu_si512(static_cast<void*>(live_fp + kept),
                           _mm512_maskz_compress_epi64(miss, fp));
@@ -227,18 +246,59 @@ PlacementMap::locate_chunk_x8(const RegionMap::OwnerTable& table,
     }
     live = kept;
   }
-  for (std::uint32_t k = 0; k < found; ++k) {
-    const hash::Pos p = pos_stream[k];
-    const ServerId owner = table.owners[p >> table.shift];
-    const std::uint64_t meta = meta_stream[k];
-    out[static_cast<std::uint32_t>(meta)] = LocateResult{
-        owner, static_cast<std::uint32_t>(meta >> 32), false, p};
+  // One sequential sweep writes every lane's answer; the later passes'
+  // winners are placed by lane index first. The owner is reloaded from
+  // the position. Lanes still live here get garbage that the tail
+  // overwrites.
+  if (round > 0) {
+    for (std::uint32_t k = 0; k < found; ++k) {
+      const std::uint64_t meta = meta_stream[k];
+      const auto ix = static_cast<std::uint32_t>(meta);
+      lane_pos[ix] = pos_stream[k];
+      lane_probes[ix] = static_cast<std::uint32_t>(meta >> 32);
+    }
+    // Eight answers per step. A LocateResult is three qwords (server |
+    // probes << 32, the fallback byte and padding, position), so a
+    // group's 24 qwords are three zero-masked permutes of the (owner,
+    // probes) words and the positions, stored in place; a ragged last
+    // group masks its loads, gather and stores to the live answers.
+    static_assert(sizeof(LocateResult) == 24 &&
+                  offsetof(LocateResult, probes) == 4 &&
+                  offsetof(LocateResult, fallback) == 8 &&
+                  offsetof(LocateResult, position) == 16);
+    const __m512i perm0 = _mm512_setr_epi64(0, 0, 8, 1, 0, 9, 2, 0);
+    const __m512i perm1 = _mm512_setr_epi64(10, 3, 0, 11, 4, 0, 12, 5);
+    const __m512i perm2 = _mm512_setr_epi64(0, 13, 6, 0, 14, 7, 0, 15);
+    for (std::uint32_t l = 0; l < n; l += 8) {
+      const std::uint32_t count = std::min<std::uint32_t>(n - l, 8);
+      const auto lanes = static_cast<__mmask8>((1u << count) - 1);
+      const __m512i pos = _mm512_maskz_loadu_epi64(lanes, lane_pos + l);
+      const __m256i owner = _mm512_mask_i64gather_epi32(
+          _mm256_setzero_si256(), lanes, _mm512_srl_epi64(pos, vshift),
+          table.owners, 4);
+      const __m256i probes = _mm256_maskz_loadu_epi32(lanes, lane_probes + l);
+      const __m512i head = _mm512_or_si512(
+          _mm512_cvtepu32_epi64(owner),
+          _mm512_slli_epi64(_mm512_cvtepu32_epi64(probes), 32));
+      const std::uint32_t qwords = (1u << (3 * count)) - 1;
+      auto* const dst = reinterpret_cast<char*>(out + l);
+      _mm512_mask_storeu_epi64(
+          dst, static_cast<__mmask8>(qwords),
+          _mm512_maskz_permutex2var_epi64(0x6D, head, perm0, pos));
+      _mm512_mask_storeu_epi64(
+          dst + 64, static_cast<__mmask8>(qwords >> 8),
+          _mm512_maskz_permutex2var_epi64(0xDB, head, perm1, pos));
+      _mm512_mask_storeu_epi64(
+          dst + 128, static_cast<__mmask8>(qwords >> 16),
+          _mm512_maskz_permutex2var_epi64(0xB6, head, perm2, pos));
+    }
   }
   // Lane-major tail: each survivor chases its own probe chain from the
   // round it reached — the chains are data-independent, so the core
-  // overlaps them where more masked vector rounds would serialize.
-  // When no vector round ran (n within one group), the survivors are
-  // the caller's lanes themselves.
+  // overlaps them where more masked vector rounds would serialize — and
+  // overwrites its lane's answer, fallbacks included. When no vector
+  // round ran (n within one group), the survivors are the caller's lanes
+  // themselves and the tail writes every answer.
   for (std::uint32_t l = 0; l < live; ++l) {
     const std::uint64_t fp = round == 0 ? fps[l] : live_fp[l];
     const std::uint32_t ix = round == 0 ? l : live_ix[l];

@@ -82,9 +82,12 @@ class PlacementMap {
     return locate(fingerprint).server;
   }
 
-  /// Lanes per SoA sweep in locate_many. Scratch lives on the stack, so
+  /// Lanes per SoA sweep in locate_many: one serving batch (256
+  /// lookups) is one sweep, so its vector passes, scalar tail and
+  /// answer sweep each run once per batch. Scratch lives on the stack
+  /// (~10 KB in the AVX-512 body, ~5 KB in the portable loop), so
   /// larger batches are processed in chunks of this many fingerprints.
-  static constexpr std::uint32_t kBatchLanes = 64;
+  static constexpr std::uint32_t kBatchLanes = 256;
 
  private:
   /// The single shared probe-round implementation: scalar locate() is a
@@ -98,8 +101,12 @@ class PlacementMap {
 
   /// AVX-512 body of locate_chunk (8 fingerprints per vector: vpmullq
   /// mixing, gathered owner-table probes, vpcompress lane compaction).
-  /// Bit-identical to the scalar rounds; only defined on x86-64 and only
-  /// dispatched to after a runtime __builtin_cpu_supports check.
+  /// Sweeps a whole chunk at once; the first pass stages its answers by
+  /// lane, later passes' winners are placed by lane index, and out[] is
+  /// written in one sequential sweep before the scalar tail overwrites
+  /// its own survivors. Bit-identical to the scalar rounds; only defined
+  /// on x86-64 and only dispatched to after a runtime
+  /// __builtin_cpu_supports check.
   ANUFS_HOT void locate_chunk_x8(const RegionMap::OwnerTable& table,
                                  const std::vector<ServerId>& alive,
                                  const std::uint64_t* fps, std::uint32_t n,

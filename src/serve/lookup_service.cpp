@@ -90,6 +90,10 @@ LookupService::LookupService(ServeConfig config)
   ANUFS_EXPECTS(config_.n_servers >= 2);
   ANUFS_EXPECTS(config_.batch_size >= 1);
   ANUFS_EXPECTS(config_.file_sets >= 1);
+  // A finite window whose deadline the clock can represent (the
+  // comparisons are false for NaN and the infinities too).
+  ANUFS_EXPECTS(config_.seconds >= 0.0 &&
+                config_.seconds <= ServeConfig::kMaxSeconds);
   // Without a wall-clock window the run must terminate by op count.
   ANUFS_EXPECTS(config_.seconds > 0.0 || config_.writer_ops > 0);
   config_.min_alive = std::max<std::uint32_t>(

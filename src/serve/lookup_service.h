@@ -39,6 +39,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -64,8 +65,15 @@ struct ServeConfig {
   std::uint32_t threads = 4;
   /// Wall-clock serving window. 0 = run until the writer exhausts
   /// `writer_ops` and every reader has completed `min_batches` (the
-  /// deterministic-shape mode the tests use).
+  /// deterministic-shape mode the tests use). At most kMaxSeconds.
   double seconds = 1.0;
+  /// Longest serving window: half the steady_clock range, so the
+  /// deadline (now + seconds, in integer clock ticks) is representable.
+  static constexpr double kMaxSeconds =
+      std::chrono::duration<double>(
+          std::chrono::steady_clock::duration::max())
+          .count() /
+      2;
   std::uint64_t seed = 42;
 
   // ---- cluster / placement ----

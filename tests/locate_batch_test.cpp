@@ -10,7 +10,9 @@
 // reproducibility contract: the same interleavings replayed at any
 // --jobs count fold to the same digests. The portable tests rerun the
 // properties with the AVX-512 kernel switched off, so the portable
-// multi-lane loop is tested on hosts that have the vector kernel.
+// multi-lane loop is tested on hosts that have the vector kernel. The
+// edge test pins sizes around the group and chunk boundaries, odd round
+// budgets and an all-fallback map on both paths.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -241,6 +243,56 @@ TEST(LocateBatch, PortableLoopAndDispatchedKernelAgree) {
   }
   for (std::size_t i = 0; i < fps.size(); ++i) {
     expect_same(got[i], want[i], "portable vs dispatched", i);
+  }
+}
+
+// Sizes around the group (8) and chunk (kBatchLanes) edges, odd round
+// budgets (the paired vector passes stop with one round left for the
+// tail), and a map whose servers are registered but own no region (every
+// lane exhausts its rounds and falls back), on both the dispatched and
+// the portable path: every answer must equal scalar locate().
+TEST(LocateBatch, EdgeSizesAndRoundBudgetsMatchScalar) {
+  constexpr std::uint32_t kServers = 24;
+  const std::size_t sizes[] = {1,   7,   8,   9,   63,  64,  65,
+                               255, 256, 257, 511, 512, 513};
+  sim::Xoshiro256 rng{29};
+  for (const std::uint32_t max_rounds : {1u, 2u, 3u, 5u, 16u}) {
+    core::AnuConfig config;
+    config.placement.max_rounds = max_rounds;
+    std::vector<ServerId> servers;
+    for (std::uint32_t i = 0; i < kServers; ++i) {
+      servers.push_back(ServerId{i});
+    }
+    const core::AnuSystem system{config, servers};
+    core::PlacementMap unmapped =
+        core::PlacementMap::for_servers(config.placement, kServers);
+    for (const ServerId id : servers) unmapped.regions().add_server(id);
+    const core::PlacementMap* const maps[] = {&system.placement(), &unmapped};
+    for (const core::PlacementMap* map : maps) {
+      const bool all_fallback = map == &unmapped;
+      const auto check = [&](const char* path) {
+        for (const std::size_t size : sizes) {
+          // Exactly-sized buffers: a store past the batch leaves them.
+          std::vector<std::uint64_t> fps(size);
+          for (auto& fp : fps) fp = rng();
+          std::vector<LocateResult> got(size);
+          map->locate_many(fps, got);
+          SCOPED_TRACE(::testing::Message()
+                       << "max_rounds " << max_rounds << " size " << size
+                       << " " << path
+                       << (all_fallback ? " unmapped" : " mapped"));
+          for (std::size_t i = 0; i < size; ++i) {
+            expect_same(got[i], map->locate(fps[i]), "batched vs scalar", i);
+            if (all_fallback) {
+              EXPECT_TRUE(got[i].fallback) << "element " << i;
+            }
+          }
+        }
+      };
+      check("dispatched");
+      const PortableLocate portable;
+      check("portable");
+    }
   }
 }
 

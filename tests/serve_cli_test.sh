@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# anufs_serve must reject sizes the lookup service cannot run with as
-# bad flag values (exit 2, "<flag>: bad value '<text>'" on stderr), not
-# let them through to a precondition abort.
+# anufs_serve must reject sizes the lookup service cannot run with, and
+# serving windows too long for a clock deadline, as bad flag values
+# (exit 2, "<flag>: bad value '<text>'" on stderr), not let them through
+# to a precondition abort.
 #
 # Usage: tests/serve_cli_test.sh path/to/anufs_serve
 set -u
@@ -26,5 +27,7 @@ done <<'CASES'
 --servers 1
 --batch 0
 --file-sets 0
+--seconds 1e10
+--seconds 1e300
 CASES
 exit "$FAILED"

@@ -184,5 +184,17 @@ TEST(ServeEquivalenceDeathTest, PlanAddingAnIdPastTheDenseRangeIsRejected) {
       "addition of server id 4294967295");
 }
 
+// A window past the clock's range would overflow the deadline: the
+// service must refuse it, not serve for a moment and report success.
+TEST(ServeEquivalenceDeathTest, WindowPastTheClockRangeIsRejected) {
+  for (const double seconds : {1e10, 1e300}) {
+    ServeConfig config = property_config(/*seed=*/1);
+    config.seconds = seconds;
+    EXPECT_DEATH({ LookupService service(std::move(config)); },
+                 "kMaxSeconds")
+        << seconds;
+  }
+}
+
 }  // namespace
 }  // namespace anufs::serve

@@ -37,8 +37,8 @@ void usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
       << "  --threads N        reader threads, >= 1 (default 4)\n"
-      << "  --seconds S        serving window in wall seconds (default 1;\n"
-      << "                     0 = run until --ops is exhausted)\n"
+      << "  --seconds S        serving window in wall seconds, <= ~4.6e9\n"
+      << "                     (default 1; 0 = run until --ops is exhausted)\n"
       << "  --ops N            control-plane op budget (default 0 =\n"
       << "                     unlimited churn for the window)\n"
       << "  --ops-per-second R control-plane rate (default 200; 0 = max)\n"
@@ -57,6 +57,14 @@ void usage(const char* argv0) {
 std::optional<double> non_negative(const std::string& text) {
   const std::optional<double> v = anufs::to_double(text);
   return v.has_value() && *v >= 0.0 ? v : std::nullopt;
+}
+
+// A serving window LookupService can turn into a clock deadline.
+std::optional<double> window_seconds(const std::string& text) {
+  const std::optional<double> v = non_negative(text);
+  return v.has_value() && *v <= anufs::serve::ServeConfig::kMaxSeconds
+             ? v
+             : std::nullopt;
 }
 
 // A 32-bit count of at least `floor`: the sizes LookupService requires
@@ -98,7 +106,7 @@ int main(int argc, char** argv) {
     if (arg == "--threads") {
       config.threads = value(count_at_least(1));
     } else if (arg == "--seconds") {
-      config.seconds = value(non_negative);
+      config.seconds = value(window_seconds);
     } else if (arg == "--ops") {
       config.writer_ops = value(anufs::to_u64);
     } else if (arg == "--ops-per-second") {
